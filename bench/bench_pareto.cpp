@@ -58,10 +58,12 @@ int main(int argc, char** argv) {
         const auto cfg = systolic::square_array(sizes[s]);
         const double hz = cfg.freq_mhz * 1e6;
         points[s].hw = hw::array_hw(cfg, hw_model);
-        points[s].base_inf_s =
-            hz / static_cast<double>(engine.network_cycles(baseline, cfg));
-        points[s].fuse_inf_s =
-            hz / static_cast<double>(engine.network_cycles(fused, cfg));
+        const auto cycles = [&](const nets::NetworkModel& model) {
+          return static_cast<double>(
+              engine.network_latency(model, cfg).total_cycles);
+        };
+        points[s].base_inf_s = hz / cycles(baseline);
+        points[s].fuse_inf_s = hz / cycles(fused);
       });
   harness.stop();
 

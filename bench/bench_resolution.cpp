@@ -59,11 +59,14 @@ int main(int argc, char** argv) {
         id, 1.0, core::uniform_modes(slots, core::FuseMode::kHalf), res);
     Point& p = points[static_cast<std::size_t>(flat)];
     p.macs = baseline.total_macs();
-    p.base_cycles = engine.network_cycles(baseline, cfg);
+    const auto cycles = [&](const nets::NetworkModel& model) {
+      return engine.network_latency(model, cfg).total_cycles;
+    };
+    p.base_cycles = cycles(baseline);
     p.full_speedup = static_cast<double>(p.base_cycles) /
-                     static_cast<double>(engine.network_cycles(full, cfg));
+                     static_cast<double>(cycles(full));
     p.half_speedup = static_cast<double>(p.base_cycles) /
-                     static_cast<double>(engine.network_cycles(half, cfg));
+                     static_cast<double>(cycles(half));
   });
   harness.stop();
 

@@ -56,14 +56,16 @@ int main(int argc, char** argv) {
         id, alpha, core::uniform_modes(slots, core::FuseMode::kFull));
     const auto half = nets::build_network_scaled(
         id, alpha, core::uniform_modes(slots, core::FuseMode::kHalf));
-    const std::uint64_t base_cycles = engine.network_cycles(baseline, cfg);
+    const auto cycles = [&](const nets::NetworkModel& model) {
+      return static_cast<double>(
+          engine.network_latency(model, cfg).total_cycles);
+    };
+    const double base_cycles = cycles(baseline);
     Point& p = points[static_cast<std::size_t>(flat)];
     p.macs = baseline.total_macs();
     p.params = baseline.total_params();
-    p.full_speedup = static_cast<double>(base_cycles) /
-                     static_cast<double>(engine.network_cycles(full, cfg));
-    p.half_speedup = static_cast<double>(base_cycles) /
-                     static_cast<double>(engine.network_cycles(half, cfg));
+    p.full_speedup = base_cycles / cycles(full);
+    p.half_speedup = base_cycles / cycles(half);
   });
   harness.stop();
 

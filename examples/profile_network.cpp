@@ -313,7 +313,7 @@ int main(int argc, char** argv) {
     peak_fold_bytes = std::max(peak_fold_bytes, trace.peak_fold_bytes());
   }
 
-  // The timeline IS the analytic model: same plans, same fold walk.
+  // The plan traces' timeline must equal the closed-form analytic total.
   FUSE_CHECK(cursor == analytic.total_cycles)
       << "trace timeline " << cursor << " != analytic network latency "
       << analytic.total_cycles;

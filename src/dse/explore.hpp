@@ -102,7 +102,7 @@ struct ExploreResult {
 
 /// The sweep: parallel evaluation (index-slot writes), then serial
 /// index-order frontier pruning. Records dse.configs_evaluated /
-/// dse.points_pruned counters and the eval.memo_hit_pct gauge.
+/// dse.points_pruned counters and the memo.hit_pct gauge.
 ExploreResult explore(const DseAxes& axes,
                       const std::vector<nets::NetworkModel>& workload,
                       const ExploreOptions& options = {});

@@ -98,6 +98,7 @@ NetworkModel from_text(const std::string& text) {
     layer.has_bias = bias != 0;
     layer.has_batchnorm = bn != 0;
     layer.in_squeeze_excite = se != 0;
+    nn::validate(layer);
     model.layers.push_back(std::move(layer));
   }
   return model;

@@ -147,6 +147,45 @@ std::string LayerDesc::to_string() const {
   return out.str();
 }
 
+void validate(const LayerDesc& layer) {
+  FUSE_CHECK(layer.in_c > 0 && layer.in_h > 0 && layer.in_w > 0 &&
+             layer.out_c > 0 && layer.out_h > 0 && layer.out_w > 0)
+      << "layer " << layer.name << ": extents must be positive (in "
+      << layer.in_c << "x" << layer.in_h << "x" << layer.in_w << ", out "
+      << layer.out_c << "x" << layer.out_h << "x" << layer.out_w << ")";
+  FUSE_CHECK(layer.kernel_h > 0 && layer.kernel_w > 0)
+      << "layer " << layer.name << ": kernel must be positive, got "
+      << layer.kernel_h << "x" << layer.kernel_w;
+  FUSE_CHECK(layer.stride_h > 0 && layer.stride_w > 0)
+      << "layer " << layer.name << ": stride must be positive, got "
+      << layer.stride_h << "x" << layer.stride_w;
+  FUSE_CHECK(layer.pad_h >= 0 && layer.pad_w >= 0)
+      << "layer " << layer.name << ": pad must be non-negative, got "
+      << layer.pad_h << "x" << layer.pad_w;
+  FUSE_CHECK(layer.groups > 0 && layer.in_c % layer.groups == 0 &&
+             layer.out_c % layer.groups == 0)
+      << "layer " << layer.name << ": groups " << layer.groups
+      << " do not divide channels in_c=" << layer.in_c
+      << " out_c=" << layer.out_c;
+  const bool conv_family =
+      layer.counts_for_latency() && layer.kind != OpKind::kFullyConnected;
+  if (!conv_family) {
+    return;
+  }
+  FUSE_CHECK(layer.in_h + 2 * layer.pad_h >= layer.kernel_h &&
+             layer.in_w + 2 * layer.pad_w >= layer.kernel_w)
+      << "layer " << layer.name << ": kernel " << layer.kernel_h << "x"
+      << layer.kernel_w << " larger than padded input";
+  const std::int64_t out_h = tensor::conv_out_dim(
+      layer.in_h, layer.kernel_h, layer.stride_h, layer.pad_h);
+  const std::int64_t out_w = tensor::conv_out_dim(
+      layer.in_w, layer.kernel_w, layer.stride_w, layer.pad_w);
+  FUSE_CHECK(layer.out_h == out_h && layer.out_w == out_w)
+      << "layer " << layer.name << ": out_h/out_w " << layer.out_h << "x"
+      << layer.out_w << " differ from the conv geometry's " << out_h << "x"
+      << out_w;
+}
+
 namespace {
 
 /// Shared geometry derivation for the conv-family factories.

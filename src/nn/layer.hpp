@@ -89,6 +89,14 @@ struct LayerDesc {
   std::string to_string() const;
 };
 
+/// Boundary check for descriptors that did not come from the factories
+/// below (.fusenet text, custom serving models). Throws util::Error naming
+/// the layer and field when an activation extent is not positive, a kernel
+/// or stride is not positive, a padding is negative, groups do not divide
+/// the channels, or a conv-family layer declares an output extent other
+/// than tensor::conv_out_dim of its input geometry.
+void validate(const LayerDesc& layer);
+
 // --- Factory helpers -------------------------------------------------------
 // All take the input activation geometry and derive the output geometry.
 

@@ -1,11 +1,9 @@
 #include "sched/eval_fast.hpp"
 
 #include <algorithm>
-#include <mutex>
 
 #include "systolic/memory.hpp"
 #include "util/check.hpp"
-#include "util/telemetry.hpp"
 
 namespace fuse::sched {
 
@@ -270,25 +268,8 @@ LayerCost fuse_line_cost(std::int64_t lines, std::int64_t line_out,
   return cost;
 }
 
-util::Counter& eval_hit_metric() {
-  static util::Counter& counter = util::metrics().counter("eval.hits");
-  return counter;
-}
-util::Counter& eval_miss_metric() {
-  static util::Counter& counter = util::metrics().counter("eval.misses");
-  return counter;
-}
-util::Gauge& eval_hit_pct_gauge() {
-  static util::Gauge& gauge = util::metrics().gauge("eval.memo_hit_pct");
-  return gauge;
-}
-
-}  // namespace
-
-LayerCost eval_layer_fast(const LayerDesc& layer, const ArrayConfig& cfg,
-                          const MemoryConfig& mem) {
-  cfg.validate();
-  mem.validate();
+LayerCost closed_form_cost(const LayerDesc& layer, const ArrayConfig& cfg,
+                           const MemoryConfig& mem) {
   const std::int64_t positions = layer.out_h * layer.out_w;
   switch (layer.kind) {
     case OpKind::kStandardConv:
@@ -351,76 +332,57 @@ LayerCost eval_layer_fast(const LayerDesc& layer, const ArrayConfig& cfg,
   return glue;
 }
 
-std::size_t EvalKeyHash::operator()(const EvalKey& key) const {
-  std::uint64_t hash =
-      static_cast<std::uint64_t>(LatencyKeyHash{}(key.shape));
-  std::uint64_t v = static_cast<std::uint64_t>(key.dtype_bytes);
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (v >> (8 * byte)) & 0xFF;
-    hash *= 1099511628211ULL;  // FNV prime
-  }
-  return static_cast<std::size_t>(hash);
-}
+}  // namespace
 
-LayerCost EvalCache::get_or_compute(const LayerDesc& layer,
-                                    const ArrayConfig& cfg,
-                                    const MemoryConfig& mem) {
-  EvalKey key;
-  key.shape = make_latency_key(layer, cfg);
-  key.dtype_bytes = mem.dtype_bytes;
-  Shard& shard = shards_[EvalKeyHash{}(key) % kShards];
-  {
-    std::shared_lock<std::shared_mutex> lock(shard.mutex);
-    const auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      hits_.fetch_add(1);
-      eval_hit_metric().add();
-      return it->second;
-    }
-  }
-  // Compute outside any lock: eval_layer_fast is pure, so a concurrent
-  // miss on the same key just computes the same value.
-  const LayerCost cost = eval_layer_fast(layer, cfg, mem);
-  {
-    std::unique_lock<std::shared_mutex> lock(shard.mutex);
-    shard.map.try_emplace(key, cost);
-  }
-  misses_.fetch_add(1);
-  eval_miss_metric().add();
+LayerCost eval_layer_fast(const LayerDesc& layer, const ArrayConfig& cfg,
+                          const MemoryConfig& mem) {
+  cfg.validate();
+  mem.validate();
+  LayerCost cost = closed_form_cost(layer, cfg, mem);
+  record_layer_metrics(cost.latency);
   return cost;
 }
 
-// The eval.memo_hit_pct gauge is published here rather than per lookup:
-// recomputing the running percentage inside get_or_compute would cost
-// more than the closed-form evaluation the cache exists to skip.
-void EvalCache::publish_hit_rate() const {
-  eval_hit_pct_gauge().set(static_cast<std::int64_t>(hit_rate_pct()));
+LatencyKey make_latency_key(const LayerDesc& layer, const ArrayConfig& cfg) {
+  LatencyKey key;
+  key.fields = {
+      static_cast<std::int64_t>(layer.kind),
+      layer.in_c,
+      layer.in_h,
+      layer.in_w,
+      layer.out_c,
+      layer.out_h,
+      layer.out_w,
+      layer.kernel_h,
+      layer.kernel_w,
+      layer.stride_h,
+      layer.stride_w,
+      layer.pad_h,
+      layer.pad_w,
+      layer.groups,
+      cfg.rows,
+      cfg.cols,
+      static_cast<std::int64_t>(cfg.dataflow),
+      // Remaining config booleans + small enums packed into one slot:
+      // mapping (bits 0-1), broadcast (2), overlap (3), strided-fuse (4),
+      // pipelining (5-6), datapath (7-8). Datapath never moves cycle
+      // counts, but keying on the FULL ArrayConfig keeps the no-alias
+      // contract trivially true as fields grow (test_eval_fast pins it).
+      static_cast<std::int64_t>(cfg.standard_conv_mapping) |
+          (cfg.broadcast_links ? 1LL << 2 : 0) |
+          (cfg.overlap_fold_drain ? 1LL << 3 : 0) |
+          (cfg.strided_fuse_dense_compute ? 1LL << 4 : 0) |
+          (static_cast<std::int64_t>(cfg.pipelining) << 5) |
+          (static_cast<std::int64_t>(cfg.datapath) << 7),
+  };
+  return key;
 }
 
-double EvalCache::hit_rate_pct() const {
-  const std::uint64_t hits = hits_.load();
-  const std::uint64_t total = hits + misses_.load();
-  return total == 0 ? 0.0
-                    : 100.0 * static_cast<double>(hits) /
-                          static_cast<double>(total);
-}
-
-std::size_t EvalCache::entries() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::shared_lock<std::shared_mutex> lock(shard.mutex);
-    total += shard.map.size();
-  }
-  return total;
-}
-
-void EvalCache::clear() {
-  for (Shard& shard : shards_) {
-    std::unique_lock<std::shared_mutex> lock(shard.mutex);
-    shard.map.clear();
-  }
-  hits_.store(0);
-  misses_.store(0);
+const LayerCost& EvalCache::get_or_compute(const LayerDesc& layer,
+                                           const ArrayConfig& cfg,
+                                           const MemoryConfig& mem) {
+  const EvalKey key{make_latency_key(layer, cfg), mem.dtype_bytes};
+  return lookup(key, [&] { return eval_layer_fast(layer, cfg, mem); }).first;
 }
 
 NetworkEval eval_network_fast(const nets::NetworkModel& model,
@@ -432,10 +394,10 @@ NetworkEval eval_network_fast(const nets::NetworkModel& model,
   NetworkEval ev;
   ev.layers.reserve(model.layers.size());
   for (const LayerDesc& layer : model.layers) {
-    LayerCost cost = cache != nullptr ? cache->get_or_compute(layer, cfg, mem)
-                                      : eval_layer_fast(layer, cfg, mem);
-    ev.total_cycles += cost.latency.cycles;
-    ev.layers.push_back(std::move(cost));
+    ev.layers.push_back(cache != nullptr
+                            ? cache->get_or_compute(layer, cfg, mem)
+                            : eval_layer_fast(layer, cfg, mem));
+    ev.total_cycles += ev.layers.back().latency.cycles;
   }
   ev.schedule = schedule_costs(model, ev.layers, mem, mode);
   ev.roofline = roofline_over(ev.layers, ev.schedule.fused_pairs, mem);

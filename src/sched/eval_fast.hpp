@@ -1,9 +1,10 @@
-// Plan-free closed-form latency/traffic evaluator.
+// Plan-free closed-form latency/traffic evaluator: the production latency
+// engine.
 //
-// layer_latency / plan_network cost a layer by materializing its
-// MappingPlan (a heap-allocated op list) and walking every fold tile.
-// That walk visits ceil(a/R) * ceil(b/C) tiles — fine for one network,
-// far too slow for a design-space sweep over hundreds of ArrayConfigs.
+// The plan fold (plan_latency over systolic::lower) costs a layer by
+// materializing its MappingPlan (a heap-allocated op list) and walking
+// every fold tile. That walk visits ceil(a/R) * ceil(b/C) tiles — fine
+// for one network, far too slow for sweeps over hundreds of ArrayConfigs.
 //
 // This module computes the SAME numbers in closed form. A row-major fold
 // grid has at most 2 distinct tile sizes per axis (the full tile and the
@@ -29,20 +30,24 @@
 // (5 networks x 5 variants x dataflows x broadcast x sched modes), and
 // bench_dse gates the >= 10x configs-per-second win this buys.
 //
-// Telemetry: the evaluator intentionally skips the per-layer mapping.* /
-// sched.* counters of the plan path (not materializing the plan is the
-// point); it has its own eval.hits / eval.misses counters and the
-// eval.memo_hit_pct gauge on the EvalCache.
+// This is the production latency engine: sched::layer_latency,
+// layer_traffic, network_latency, network_roofline, network_energy, the
+// SweepEngine, the serving ModelPool and the design-space explorer all
+// compute through it. Plans are lowered only where their folds are
+// needed (netplan segments, the simulators, the executor, traces,
+// attribution, timelines, batched serving) and as the test oracle.
+//
+// Telemetry: each eval_layer_fast call records the per-layer sched.*
+// metrics once, exactly as plan_latency does on the plan path, so sched.*
+// counts computed layer latencies from either engine. The EvalCache feeds
+// the shared memo.* family (util/sharded_memo.hpp).
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <shared_mutex>
-#include <unordered_map>
 
-#include "sched/latency_cache.hpp"
 #include "sched/netplan.hpp"
+#include "util/sharded_memo.hpp"
 
 namespace fuse::sched {
 
@@ -53,11 +58,24 @@ LayerCost eval_layer_fast(const nn::LayerDesc& layer,
                           const systolic::ArrayConfig& cfg,
                           const systolic::MemoryConfig& mem);
 
-/// Memo key: the full latency shape key (every LayerDesc/ArrayConfig field
-/// the cycle model reads, including the pipelining/datapath axes) plus the
-/// memory dtype width, which scales the byte fields. Bandwidth and SRAM
-/// size stay OUT of the key: the cached cost stores bytes, and
-/// memory_cycles / buffer placement are derived downstream.
+/// Every LayerDesc and ArrayConfig field the analytic latency model reads,
+/// flattened to integers. Excluded on purpose: layer name, activation,
+/// bias/batchnorm flags, squeeze-excite/fuse-slot tags (never affect
+/// cycles) and ArrayConfig::freq_mhz (converts cycles to time, does not
+/// produce them).
+struct LatencyKey {
+  std::array<std::int64_t, 18> fields{};
+
+  bool operator==(const LatencyKey& other) const = default;
+};
+
+LatencyKey make_latency_key(const nn::LayerDesc& layer,
+                            const systolic::ArrayConfig& cfg);
+
+/// Memo key: the latency shape key plus the memory dtype width, which
+/// scales the byte fields. Bandwidth and SRAM size stay OUT of the key:
+/// the cached cost stores bytes, and memory_cycles / buffer placement are
+/// derived downstream.
 struct EvalKey {
   LatencyKey shape;
   std::int64_t dtype_bytes = 0;
@@ -65,40 +83,25 @@ struct EvalKey {
   bool operator==(const EvalKey& other) const = default;
 };
 
+/// One word-wise mix over the key (util::hash_words).
 struct EvalKeyHash {
-  std::size_t operator()(const EvalKey& key) const;
+  std::size_t operator()(const EvalKey& key) const {
+    return static_cast<std::size_t>(util::hash_words(
+        key.shape.fields, static_cast<std::uint64_t>(key.dtype_bytes)));
+  }
 };
 
-/// Sharded memo table for eval_layer_fast, mirroring LatencyCache's
-/// locking discipline (readers share, inserts exclusive, compute outside
-/// any lock — eval_layer_fast is pure, so racing double-computes are
-/// harmless).
-class EvalCache {
+/// The memo of eval_layer_fast: one util::ShardedMemo keyed by EvalKey.
+/// Pure function, so memoization never changes a value, only skips
+/// recomputation. Latency-only callers (network_latency, the SweepEngine)
+/// look up with a default MemoryConfig and read `.latency`.
+class EvalCache : public util::ShardedMemo<EvalKey, LayerCost, EvalKeyHash> {
  public:
-  LayerCost get_or_compute(const nn::LayerDesc& layer,
-                           const systolic::ArrayConfig& cfg,
-                           const systolic::MemoryConfig& mem);
-
-  std::uint64_t hits() const { return hits_.load(); }
-  std::uint64_t misses() const { return misses_.load(); }
-  /// Hit fraction in percent (0 when never queried).
-  double hit_rate_pct() const;
-  /// Writes hit_rate_pct() to the eval.memo_hit_pct gauge (kept off the
-  /// lookup hot path — call once per sweep, not per layer).
-  void publish_hit_rate() const;
-  std::size_t entries() const;
-  void clear();
-
- private:
-  static constexpr std::size_t kShards = 16;
-  struct Shard {
-    mutable std::shared_mutex mutex;
-    std::unordered_map<EvalKey, LayerCost, EvalKeyHash> map;
-  };
-
-  std::array<Shard, kShards> shards_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
+  /// The memoized cost, computing eval_layer_fast on a miss. Safe to call
+  /// concurrently; the reference lives as long as the entry.
+  const LayerCost& get_or_compute(const nn::LayerDesc& layer,
+                                  const systolic::ArrayConfig& cfg,
+                                  const systolic::MemoryConfig& mem);
 };
 
 /// Whole-network closed-form evaluation: per-layer costs plus the shared

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <map>
 
-#include "sched/latency_cache.hpp"
+#include "sched/eval_fast.hpp"
 #include "sched/netplan.hpp"
 #include "systolic/mapping.hpp"
 #include "util/check.hpp"
@@ -16,23 +16,22 @@ using nn::OpKind;
 namespace {
 
 /// Memoized layer_latency when a cache is supplied, the plain function
-/// otherwise. Both paths compute the same pure function of (layer, cfg).
+/// otherwise. Cycles never depend on the memory config, so latency-only
+/// lookups share the default one.
 LatencyEstimate cached_layer_latency(const LayerDesc& layer,
                                      const ArrayConfig& cfg,
-                                     LatencyCache* cache) {
-  return cache ? cache->get_or_compute(layer, cfg)
+                                     EvalCache* cache) {
+  return cache ? cache->get_or_compute(layer, cfg, systolic::MemoryConfig{})
+                     .latency
                : layer_latency(layer, cfg);
 }
 
 }  // namespace
 
-namespace {
-
-/// PE-occupancy accounting for one evaluated layer, derived from its
-/// MappingPlan fold: busy PE-cycles are exactly the useful MACs (one MAC
-/// per PE per cycle), total PE-cycles are cycles x array PEs. These are
-/// the registry-side numbers behind --stats-json; the bench footer keeps
-/// its own per-engine stats.
+// PE-occupancy accounting: busy PE-cycles are exactly the useful MACs
+// (one MAC per PE per cycle), total PE-cycles are cycles x array PEs.
+// These are the registry-side numbers behind --stats-json; the bench
+// footer keeps its own per-engine stats.
 void record_layer_metrics(const LatencyEstimate& est) {
   static util::Counter& layers = util::metrics().counter("sched.layers");
   static util::Counter& macs = util::metrics().counter("sched.macs");
@@ -51,13 +50,9 @@ void record_layer_metrics(const LatencyEstimate& est) {
   cycles.observe(est.cycles);
 }
 
-}  // namespace
-
 LatencyEstimate layer_latency(const LayerDesc& layer,
                               const ArrayConfig& cfg) {
-  // All per-OpKind mapping decisions live in systolic::lower(); this is
-  // just a fold over the resulting primitive ops.
-  return plan_latency(systolic::lower(layer, cfg));
+  return eval_layer_fast(layer, cfg, systolic::MemoryConfig{}).latency;
 }
 
 LatencyEstimate plan_latency(const systolic::MappingPlan& plan) {
@@ -120,7 +115,7 @@ double NetworkLatency::utilization(const ArrayConfig& cfg) const {
 
 NetworkLatency network_latency(const NetworkModel& model,
                                const ArrayConfig& cfg,
-                               LatencyCache* cache) {
+                               EvalCache* cache) {
   NetworkLatency result;
   result.per_layer.reserve(model.layers.size());
   for (const LayerDesc& layer : model.layers) {
@@ -200,7 +195,7 @@ namespace {
 /// projection pointwise), via the fuse_slot tags.
 std::map<int, std::uint64_t> cycles_by_slot(const NetworkModel& model,
                                             const ArrayConfig& cfg,
-                                            LatencyCache* cache) {
+                                            EvalCache* cache) {
   std::map<int, std::uint64_t> by_slot;
   for (const LayerDesc& layer : model.layers) {
     if (layer.fuse_slot < 0) {
@@ -215,7 +210,7 @@ std::map<int, std::uint64_t> cycles_by_slot(const NetworkModel& model,
 
 std::vector<double> slot_savings(NetworkId id, FuseMode mode,
                                  const ArrayConfig& cfg,
-                                 LatencyCache* cache) {
+                                 EvalCache* cache) {
   FUSE_CHECK(mode != FuseMode::kBaseline)
       << "slot_savings needs a replacing mode";
   const NetworkModel baseline = nets::build_network(id);
@@ -241,7 +236,7 @@ std::vector<double> slot_savings(NetworkId id, FuseMode mode,
 }
 
 VariantBuild build_variant(NetworkId id, NetworkVariant variant,
-                           const ArrayConfig& cfg, LatencyCache* cache) {
+                           const ArrayConfig& cfg, EvalCache* cache) {
   const int slots = nets::num_fuse_slots(id);
   std::vector<double> savings;
   if (variant == NetworkVariant::kFuseFull50) {
@@ -256,7 +251,7 @@ VariantBuild build_variant(NetworkId id, NetworkVariant variant,
 }
 
 double speedup_vs_baseline(NetworkId id, NetworkVariant variant,
-                           const ArrayConfig& cfg, LatencyCache* cache) {
+                           const ArrayConfig& cfg, EvalCache* cache) {
   const VariantBuild baseline =
       build_variant(id, NetworkVariant::kBaseline, cfg, cache);
   const VariantBuild target = build_variant(id, variant, cfg, cache);
@@ -272,7 +267,7 @@ double speedup_vs_baseline(NetworkId id, NetworkVariant variant,
 systolic::TrafficEstimate layer_traffic(const LayerDesc& layer,
                                         const ArrayConfig& cfg,
                                         const systolic::MemoryConfig& mem) {
-  return systolic::plan_traffic(systolic::lower(layer, cfg), cfg, mem);
+  return eval_layer_fast(layer, cfg, mem).traffic;
 }
 
 NetworkRoofline network_roofline(const NetworkModel& model,
@@ -281,8 +276,9 @@ NetworkRoofline network_roofline(const NetworkModel& model,
   // The roofline is a view over the network schedule; the process-wide
   // mode (default per-layer, which reproduces the historical per-layer
   // walk bit for bit) decides whether fused pairs share their
-  // intermediate traffic.
-  return plan_roofline(plan_network(model, cfg, mem, sched_mode()));
+  // intermediate traffic. eval_network_fast's roofline equals
+  // plan_roofline(plan_network(...)) field for field.
+  return eval_network_fast(model, cfg, mem, sched_mode()).roofline;
 }
 
 double roofline_speedup(NetworkId id, NetworkVariant variant,
@@ -305,10 +301,10 @@ hw::EnergyReport network_energy(const NetworkModel& model,
                                 const hw::EnergyModel& energy) {
   hw::EnergyReport report;
   for (const LayerDesc& layer : model.layers) {
-    const LatencyEstimate est = layer_latency(layer, cfg);
-    const systolic::TrafficEstimate traffic = layer_traffic(layer, cfg, mem);
-    report += hw::operator_energy(est.mac_ops, est.cycles, cfg.pe_count(),
-                                  traffic.total_bytes(), energy);
+    const LayerCost cost = eval_layer_fast(layer, cfg, mem);
+    report += hw::operator_energy(cost.latency.mac_ops, cost.latency.cycles,
+                                  cfg.pe_count(), cost.traffic.total_bytes(),
+                                  energy);
   }
   return report;
 }

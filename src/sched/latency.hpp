@@ -1,11 +1,12 @@
 // Network -> systolic-array latency estimation (paper §V-A3).
 //
-// Every LayerDesc is lowered through systolic::lower() to a MappingPlan of
-// primitive array ops (see systolic/mapping.hpp for the per-kind mapping
-// rules); latency, traffic, and utilization here are folds over that plan.
-// Pool/activation/add layers lower to an empty plan and cost zero cycles:
-// the paper considers only compute-bound convolutional (incl.
-// squeeze-excite) and FC layers.
+// Every query here computes through the closed-form engine
+// (sched/eval_fast.hpp), which is proven equal to folding the layer's
+// lowered MappingPlan (systolic/mapping.hpp holds the per-kind mapping
+// rules; plan_latency below is that fold). Only the batched entry points
+// still lower plans. Pool/activation/add layers cost zero cycles: the
+// paper considers only compute-bound convolutional (incl. squeeze-excite)
+// and FC layers.
 #pragma once
 
 #include <cstdint>
@@ -31,22 +32,26 @@ using nn::LayerDesc;
 using systolic::ArrayConfig;
 using systolic::LatencyEstimate;
 
-class LatencyCache;  // latency_cache.hpp — shape-keyed memo table
+class EvalCache;  // eval_fast.hpp — the shape-keyed layer memo
 
 /// Cycles (and fold/MAC/utilization accounting) for one layer (batch 1,
-/// the paper's setting). Pure function of the layer geometry and the
-/// array config — which is what makes the LatencyCache memoization and
-/// the SweepEngine's parallel walks (sweep.hpp) bit-identical to the
-/// serial path.
+/// the paper's setting): eval_layer_fast(layer, cfg, {}).latency. Pure
+/// function of the layer geometry and the array config — which is what
+/// makes the EvalCache memoization and the SweepEngine's parallel walks
+/// (sweep.hpp) bit-identical to the serial path.
 LatencyEstimate layer_latency(const LayerDesc& layer,
                               const ArrayConfig& cfg);
 
-/// The estimate of an already-lowered plan, recording the same per-layer
-/// sched.* metrics layer_latency would — layer_latency(l, cfg) is exactly
-/// plan_latency(systolic::lower(l, cfg)). The network scheduler
-/// (netplan.hpp) lowers each layer once and costs it through this, so the
-/// telemetry deltas per evaluated layer are identical on both paths.
+/// The estimate of an already-lowered plan (the plan-fold engine):
+/// layer_latency(l, cfg) == plan_latency(systolic::lower(l, cfg)). The
+/// network scheduler (netplan.hpp) lowers each layer once and costs it
+/// through this.
 LatencyEstimate plan_latency(const systolic::MappingPlan& plan);
+
+/// Records the per-layer sched.* metrics of one computed layer latency.
+/// Each engine calls it once per layer it computes (plan_latency and
+/// eval_layer_fast), so the counters never double count.
+void record_layer_metrics(const LatencyEstimate& est);
 
 /// Batched inference: `batch` images processed together. For the conv
 /// family the batch stacks along the output-position (M) dimension; for FC
@@ -89,11 +94,11 @@ struct NetworkLatency {
   double utilization(const ArrayConfig& cfg) const;
 };
 
-/// Serial reference walk. With a non-null `cache`, per-layer results are
-/// memoized through it (same values — layer_latency is pure).
+/// Serial walk. With a non-null `cache`, per-layer results are memoized
+/// through it (same values — layer_latency is pure).
 NetworkLatency network_latency(const NetworkModel& model,
                                const ArrayConfig& cfg,
-                               LatencyCache* cache = nullptr);
+                               EvalCache* cache = nullptr);
 
 /// Operator classes of the paper's Fig. 8(c) latency-distribution plot.
 enum class OperatorClass {
@@ -125,7 +130,7 @@ OperatorBreakdown operator_breakdown(const NetworkModel& model,
 /// via LayerDesc::fuse_slot). Used to pick the 50% variants.
 std::vector<double> slot_savings(NetworkId id, FuseMode mode,
                                  const ArrayConfig& cfg,
-                                 LatencyCache* cache = nullptr);
+                                 EvalCache* cache = nullptr);
 
 /// A fully resolved network variant: the lowered model plus the per-slot
 /// modes that produced it.
@@ -138,12 +143,12 @@ struct VariantBuild {
 /// latency savings on the given array.
 VariantBuild build_variant(NetworkId id, NetworkVariant variant,
                            const ArrayConfig& cfg,
-                           LatencyCache* cache = nullptr);
+                           EvalCache* cache = nullptr);
 
 /// Convenience: latency ratio baseline/variant on the given array.
 double speedup_vs_baseline(NetworkId id, NetworkVariant variant,
                            const ArrayConfig& cfg,
-                           LatencyCache* cache = nullptr);
+                           EvalCache* cache = nullptr);
 
 // --- roofline extension (beyond the paper's compute-bound assumption) --------
 

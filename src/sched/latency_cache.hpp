@@ -1,73 +1,12 @@
-// Shape-keyed memoization of layer_latency results.
-//
-// MobileNet-style networks repeat layer geometries heavily (stacked
-// inverted residuals at one resolution), and a sweep evaluates the same
-// lowered shapes across many variants and array configs — so the analytic
-// model recomputes identical closed forms thousands of times. This cache
-// keys on exactly the LayerDesc / ArrayConfig fields the model reads and
-// returns the memoized LatencyEstimate.
-//
-// Thread safety: the table is sharded by key hash; each shard is guarded
-// by its own std::shared_mutex (readers share, inserts exclusive), so
-// concurrent sweep workers mostly take uncontended read locks. Because
-// layer_latency is a pure function of the key, a racing double-compute
-// inserts the same value twice — harmless, first insert wins.
+// The shape-keyed layer memo under its former name. The one memo is
+// sched::EvalCache (eval_fast.hpp); a lookup returns the whole LayerCost,
+// so latency-only callers read `.latency` off it.
 #pragma once
 
-#include <array>
-#include <atomic>
-#include <cstdint>
-#include <shared_mutex>
-#include <unordered_map>
-
-#include "nn/layer.hpp"
-#include "systolic/config.hpp"
-#include "systolic/cycle_model.hpp"
+#include "sched/eval_fast.hpp"
 
 namespace fuse::sched {
 
-/// Every LayerDesc and ArrayConfig field the analytic latency model reads,
-/// flattened to integers. Excluded on purpose: layer name, activation,
-/// bias/batchnorm flags, squeeze-excite/fuse-slot tags (never affect
-/// cycles) and ArrayConfig::freq_mhz (converts cycles to time, does not
-/// produce them).
-struct LatencyKey {
-  std::array<std::int64_t, 18> fields{};
-
-  bool operator==(const LatencyKey& other) const = default;
-};
-
-LatencyKey make_latency_key(const nn::LayerDesc& layer,
-                            const systolic::ArrayConfig& cfg);
-
-/// FNV-1a over the key fields.
-struct LatencyKeyHash {
-  std::size_t operator()(const LatencyKey& key) const;
-};
-
-class LatencyCache {
- public:
-  /// Returns the memoized estimate, computing sched::layer_latency on a
-  /// miss. Safe to call concurrently.
-  systolic::LatencyEstimate get_or_compute(const nn::LayerDesc& layer,
-                                           const systolic::ArrayConfig& cfg);
-
-  std::uint64_t hits() const { return hits_.load(); }
-  std::uint64_t misses() const { return misses_.load(); }
-  std::size_t entries() const;
-  void clear();
-
- private:
-  static constexpr std::size_t kShards = 16;
-  struct Shard {
-    mutable std::shared_mutex mutex;
-    std::unordered_map<LatencyKey, systolic::LatencyEstimate, LatencyKeyHash>
-        map;
-  };
-
-  std::array<Shard, kShards> shards_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-};
+using LatencyCache = EvalCache;
 
 }  // namespace fuse::sched

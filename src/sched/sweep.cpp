@@ -25,40 +25,14 @@ int worker_count(int threads) {
 SweepEngine::SweepEngine(SweepOptions options)
     : options_(options), pool_(worker_count(options.threads)) {}
 
-LatencyEstimate SweepEngine::layer_latency(const LayerDesc& layer,
-                                           const ArrayConfig& cfg) {
-  return options_.use_cache ? cache_.get_or_compute(layer, cfg)
-                            : sched::layer_latency(layer, cfg);
-}
-
 NetworkLatency SweepEngine::network_latency(const NetworkModel& model,
                                             const ArrayConfig& cfg) {
-  const std::int64_t n = static_cast<std::int64_t>(model.layers.size());
   util::ScopedSpan span("sweep.network_latency");
   if (span.active()) {
     span.annotate("network", model.name);
-    span.annotate("layers", static_cast<std::uint64_t>(n));
+    span.annotate("layers", static_cast<std::uint64_t>(model.layers.size()));
   }
-  NetworkLatency result;
-  result.per_layer.resize(model.layers.size());
-  // Each iteration writes only its own slot; the total is reduced serially
-  // in layer order afterwards -> identical for any thread count.
-  pool_.parallel_for(
-      n,
-      [&](std::int64_t i) {
-        result.per_layer[static_cast<std::size_t>(i)] =
-            layer_latency(model.layers[static_cast<std::size_t>(i)], cfg);
-      },
-      /*grain=*/16);
-  for (const LatencyEstimate& est : result.per_layer) {
-    result.total_cycles += est.cycles;
-  }
-  return result;
-}
-
-std::uint64_t SweepEngine::network_cycles(const NetworkModel& model,
-                                          const ArrayConfig& cfg) {
-  return sched::network_latency(model, cfg, cache()).total_cycles;
+  return sched::network_latency(model, cfg, cache());
 }
 
 VariantBuild SweepEngine::build_variant(NetworkId id, NetworkVariant variant,
@@ -90,7 +64,7 @@ std::vector<Table1Row> SweepEngine::table1_rows(const ArrayConfig& cfg) {
     const VariantBuild baseline =
         build_variant(id, NetworkVariant::kBaseline, cfg);
     baseline_cycles[static_cast<std::size_t>(i)] =
-        network_cycles(baseline.model, cfg);
+        network_latency(baseline.model, cfg).total_cycles;
   });
 
   // Phase 2: one task per (network, variant) cell, written by index so the
@@ -114,7 +88,7 @@ std::vector<Table1Row> SweepEngine::table1_rows(const ArrayConfig& cfg) {
     row.variant = variant;
     row.macs = build.model.total_macs();
     row.params = build.model.total_params();
-    row.cycles = network_cycles(build.model, cfg);
+    row.cycles = network_latency(build.model, cfg).total_cycles;
     FUSE_CHECK(row.cycles > 0) << "zero-cycle network";
     row.speedup = static_cast<double>(baseline_cycles[net_index]) /
                   static_cast<double>(row.cycles);

@@ -1,13 +1,15 @@
 // SweepEngine: the parallel, memoized evaluation engine behind every
-// layer x variant x array-config sweep in the repo.
+// variant x array-config sweep in the repo.
 //
 // Two ingredients:
 //   * a util::ThreadPool (work-stealing) that fans independent sweep
-//     tasks — per-layer latency walks, (network, variant) builds, array
-//     sizes — across worker threads, and
-//   * a LatencyCache that memoizes layer_latency by shape key, so the
-//     shapes MobileNet-style nets repeat (and that recur across FuSe
-//     variants and sweep points) are computed once.
+//     tasks — (network, variant) builds, array sizes — across worker
+//     threads (a single layer costs well under a pool dispatch, so layer
+//     walks stay serial inside each task), and
+//   * an EvalCache that memoizes the closed-form layer costs
+//     (eval_fast.hpp) by shape key, so the shapes MobileNet-style nets
+//     repeat (and that recur across FuSe variants and sweep points) are
+//     computed once.
 //
 // Determinism guarantee: every parallel loop writes results into a slot
 // indexed by its iteration number and reductions happen serially in index
@@ -21,7 +23,7 @@
 #include <cstdint>
 #include <string>
 
-#include "sched/latency_cache.hpp"
+#include "sched/eval_fast.hpp"
 #include "sched/report.hpp"
 #include "util/cli.hpp"
 #include "util/thread_pool.hpp"
@@ -33,7 +35,7 @@ struct SweepOptions {
   /// 0 and 1 both execute serially (0 = no workers at all).
   int threads = -1;
 
-  /// Memoize layer_latency results through the LatencyCache.
+  /// Memoize layer costs through the engine's EvalCache.
   bool use_cache = true;
 };
 
@@ -49,18 +51,10 @@ class SweepEngine {
  public:
   explicit SweepEngine(SweepOptions options = {});
 
-  /// Memoized single-layer latency (== sched::layer_latency).
-  LatencyEstimate layer_latency(const LayerDesc& layer,
-                                const ArrayConfig& cfg);
-
-  /// Whole-network latency, per-layer walk fanned across the pool.
+  /// Memoized whole-network latency (== sched::network_latency). A serial
+  /// walk: cheap enough to run inside other parallel tasks.
   NetworkLatency network_latency(const NetworkModel& model,
                                  const ArrayConfig& cfg);
-
-  /// Total cycles only (serial cached walk; cheap enough to run inside
-  /// other parallel tasks without nesting).
-  std::uint64_t network_cycles(const NetworkModel& model,
-                               const ArrayConfig& cfg);
 
   /// Table I: 5 networks x 5 variants, variants fanned across the pool.
   std::vector<Table1Row> table1_rows(const ArrayConfig& cfg);
@@ -79,12 +73,12 @@ class SweepEngine {
   SweepStats stats() const;
   const SweepOptions& options() const { return options_; }
   util::ThreadPool& pool() { return pool_; }
-  LatencyCache* cache() { return options_.use_cache ? &cache_ : nullptr; }
+  EvalCache* cache() { return options_.use_cache ? &cache_ : nullptr; }
 
  private:
   SweepOptions options_;
   util::ThreadPool pool_;
-  LatencyCache cache_;
+  EvalCache cache_;
 };
 
 /// Process-wide engine (hardware threads, cache on) that the free

@@ -90,29 +90,16 @@ ModelPool::ModelPool(const systolic::ArrayConfig& cfg,
   cfg_.validate();
 }
 
-ModelPool::Shard& ModelPool::shard_of(const ShapeKey& key) {
-  return shards_[ShapeKeyHash{}(key) % kShards];
-}
-
 const ModelEntry& ModelPool::entry(const ShapeKey& key) {
-  Shard& shard = shard_of(key);
-  {
-    std::shared_lock<std::shared_mutex> lock(shard.mutex);
-    const auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      return *it->second;
-    }
-  }
-  // Build outside any lock (variant builds are heavy), insert under the
-  // exclusive lock; a racing double-build inserts the same pure value and
-  // the first insert wins (the LatencyCache contract).
-  std::unique_ptr<ModelEntry> built = build_entry(key);
-  std::unique_lock<std::shared_mutex> lock(shard.mutex);
-  const auto [it, inserted] = shard.map.emplace(key, std::move(built));
+  // Variant builds are heavy, so they run outside the memo's locks; a
+  // racing double-build computes the same pure value and only the winning
+  // insert counts as a build.
+  const auto [built, inserted] =
+      models_.lookup(key, [&] { return build_entry(key); });
   if (inserted) {
     pool_builds().add();
   }
-  return *it->second;
+  return *built;
 }
 
 std::unique_ptr<ModelEntry> ModelPool::build_entry(const ShapeKey& key) {
@@ -196,18 +183,12 @@ const std::vector<Tensor>& ModelPool::weights(const ShapeKey& key) {
 }
 
 int ModelPool::register_custom(nets::NetworkModel model) {
+  for (const LayerDesc& layer : model.layers) {
+    nn::validate(layer);
+  }
   std::lock_guard<std::mutex> lock(custom_mutex_);
   customs_.push_back(std::move(model));
   return static_cast<int>(customs_.size()) - 1;
-}
-
-std::size_t ModelPool::entries() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::shared_lock<std::shared_mutex> lock(shard.mutex);
-    total += shard.map.size();
-  }
-  return total;
 }
 
 Tensor request_input(const ModelEntry& entry, std::uint64_t seed,

@@ -5,28 +5,26 @@
 // the variant, lowering every layer, SRAM planning, the batched roofline
 // service times, the seeded weights for tensor/simulate execution — is
 // computed once per key here and shared by every request and every
-// engine. The table is sharded like sched::LatencyCache: per-shard
-// shared_mutex, readers share, builds exclusive; entries are stable once
-// inserted (unique_ptr values), so returned references stay valid for the
-// pool's lifetime.
+// engine. The table is a util::ShardedMemo (the same one behind
+// sched::EvalCache): builds run outside any lock, the first insert wins,
+// and entries are stable once inserted, so returned references stay valid
+// for the pool's lifetime.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
-#include <unordered_map>
 #include <vector>
 
+#include "sched/eval_fast.hpp"
 #include "sched/latency.hpp"
-#include "sched/latency_cache.hpp"
 #include "sched/netplan.hpp"
 #include "serve/request.hpp"
 #include "systolic/config.hpp"
 #include "systolic/memory.hpp"
 #include "tensor/tensor.hpp"
+#include "util/sharded_memo.hpp"
 
 namespace fuse::serve {
 
@@ -80,28 +78,22 @@ class ModelPool {
 
   /// Registers a caller-built model; the returned index goes into
   /// ShapeKey::custom. Register before serving starts (indices are dense).
+  /// Every layer must pass nn::validate (throws util::Error otherwise).
   int register_custom(nets::NetworkModel model);
 
-  std::size_t entries() const;
+  std::size_t entries() const { return models_.entries(); }
 
  private:
-  static constexpr std::size_t kShards = 8;
-  struct Shard {
-    mutable std::shared_mutex mutex;
-    std::unordered_map<ShapeKey, std::unique_ptr<ModelEntry>, ShapeKeyHash>
-        map;
-  };
-
   std::unique_ptr<ModelEntry> build_entry(const ShapeKey& key);
-  Shard& shard_of(const ShapeKey& key);
 
   systolic::ArrayConfig cfg_;
   systolic::MemoryConfig mem_;
   sched::SchedMode sched_mode_;
   std::uint64_t weight_seed_;
 
-  std::array<Shard, kShards> shards_;
-  sched::LatencyCache latency_cache_;  // shared by variant builds
+  util::ShardedMemo<ShapeKey, std::unique_ptr<ModelEntry>, ShapeKeyHash>
+      models_;
+  sched::EvalCache latency_cache_;  // shared by variant builds
 
   mutable std::mutex custom_mutex_;
   std::vector<nets::NetworkModel> customs_;

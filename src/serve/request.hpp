@@ -21,7 +21,7 @@ namespace fuse::serve {
 
 /// The batching identity of a request: two requests coalesce into one
 /// batch iff their ShapeKeys compare equal (same lowering, same plan,
-/// same weights — the ModelPool memoizes per key, like the LatencyCache
+/// same weights — the ModelPool memoizes per key, like the EvalCache
 /// memoizes per layer shape). `custom` >= 0 addresses a model registered
 /// through ModelPool::register_custom instead of the zoo (net/variant/
 /// resolution are ignored for custom keys).
@@ -34,7 +34,8 @@ struct ShapeKey {
   bool operator==(const ShapeKey& other) const = default;
 };
 
-/// FNV-1a over the key fields (the LatencyCache idiom).
+/// FNV-1a over the key fields. Besides picking memo shards, this hash
+/// seeds ModelPool::weights, so it must stay byte-for-byte stable.
 struct ShapeKeyHash {
   std::size_t operator()(const ShapeKey& key) const {
     std::uint64_t hash = 1469598103934665603ULL;

@@ -13,6 +13,7 @@
 #include "systolic/mapping.hpp"
 #include "systolic/sim.hpp"
 #include "systolic/trace.hpp"
+#include "util/rng.hpp"
 
 namespace fuse::sched {
 namespace {
@@ -122,24 +123,49 @@ TEST(EvalFastGrid, MatchesPlanPathEverywhere) {
 
 // Per-layer equality on every layer of every baseline + FuSe-Full network
 // under the non-default fold-accounting and conv-mapping switches the
-// network grid above does not flip.
+// network grid above does not flip — on the default array and on seeded
+// non-square arrays (rows and cols in 16..256, the primes 17 and 251
+// included) in every dataflow, with and without broadcast links.
 TEST(EvalFastGrid, NonDefaultConfigSwitches) {
   const MemoryConfig mem;
+  util::Rng rng(1412);
+  std::vector<std::pair<std::int64_t, std::int64_t>> shapes = {{17, 251},
+                                                               {251, 17}};
+  for (int i = 0; i < 2; ++i) {
+    shapes.emplace_back(16 + static_cast<std::int64_t>(rng.uniform_index(241)),
+                        16 + static_cast<std::int64_t>(rng.uniform_index(241)));
+  }
+  std::vector<ArrayConfig> arrays(1);  // the default array
+  for (const auto& [rows, cols] : shapes) {
+    for (Dataflow dataflow :
+         {Dataflow::kOutputStationary, Dataflow::kWeightStationary,
+          Dataflow::kInputStationary}) {
+      for (bool broadcast : {false, true}) {
+        ArrayConfig cfg;
+        cfg.rows = rows;
+        cfg.cols = cols;
+        cfg.dataflow = dataflow;
+        cfg.broadcast_links = broadcast;
+        arrays.push_back(cfg);
+      }
+    }
+  }
   for (nets::NetworkId id : nets::paper_networks()) {
     for (core::NetworkVariant variant :
          {core::NetworkVariant::kBaseline, core::NetworkVariant::kFuseFull}) {
-      ArrayConfig cfg;
-      const VariantBuild build = build_variant(id, variant, cfg);
-      for (bool overlap : {false, true}) {
-        for (systolic::StandardConvMapping mapping :
-             {systolic::StandardConvMapping::kIm2col,
-              systolic::StandardConvMapping::kChannelwise}) {
-          ArrayConfig variant_cfg = cfg;
-          variant_cfg.overlap_fold_drain = overlap;
-          variant_cfg.standard_conv_mapping = mapping;
-          variant_cfg.strided_fuse_dense_compute = !overlap;  // vary too
-          for (const LayerDesc& layer : build.model.layers) {
-            expect_layer_equal(layer, variant_cfg, mem);
+      const VariantBuild build = build_variant(id, variant, ArrayConfig{});
+      for (const ArrayConfig& cfg : arrays) {
+        for (bool overlap : {false, true}) {
+          for (systolic::StandardConvMapping mapping :
+               {systolic::StandardConvMapping::kIm2col,
+                systolic::StandardConvMapping::kChannelwise}) {
+            ArrayConfig variant_cfg = cfg;
+            variant_cfg.overlap_fold_drain = overlap;
+            variant_cfg.standard_conv_mapping = mapping;
+            variant_cfg.strided_fuse_dense_compute = !overlap;  // vary too
+            for (const LayerDesc& layer : build.model.layers) {
+              expect_layer_equal(layer, variant_cfg, mem);
+            }
           }
         }
       }

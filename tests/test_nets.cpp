@@ -395,7 +395,17 @@ TEST(Serialize, RoundTripsEveryZooNetwork) {
   }
 }
 
+// from_text validates every layer, so this also proves every FuSe-Full and
+// FuSe-Half layer of the paper networks passes nn::validate.
 TEST(Serialize, RoundTripsFuseVariants) {
+  for (NetworkId id : paper_networks()) {
+    for (FuseMode mode : {FuseMode::kFull, FuseMode::kHalf}) {
+      const NetworkModel variant = build_network(
+          id, core::uniform_modes(num_fuse_slots(id), mode));
+      EXPECT_EQ(from_text(to_text(variant)).total_macs(),
+                variant.total_macs());
+    }
+  }
   const NetworkModel original = build_network(
       NetworkId::kMobileNetV2,
       core::uniform_modes(17, FuseMode::kFull));
@@ -437,6 +447,36 @@ TEST(Serialize, UnknownKindThrows) {
       "layer l kind warp in 1 1 1 out 1 1 1 k 1 1 s 1 1 p 0 0 g 1 "
       "bias 0 bn 0 act none se 0 slot -1\n";
   EXPECT_THROW(from_text(text), util::Error);
+}
+
+// Hostile geometry is rejected at the .fusenet boundary with the layer
+// and field named, instead of being costed: on the default array the
+// declared 99x99 output of this 4x4, s1, p1 3x3 conv used to cost 21822
+// cycles, and its stride-0 twin 110.
+std::string probe_record(const std::string& geometry) {
+  return "fusenet v1 name n slots 0 layers 1\n"
+         "layer probe kind conv in 8 4 4 " +
+         geometry + " bias 0 bn 0 act none se 0 slot -1\n";
+}
+
+void expect_rejected(const std::string& geometry, const std::string& field) {
+  try {
+    from_text(probe_record(geometry));
+    ADD_FAILURE() << "accepted: " << geometry;
+  } catch (const util::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("layer probe"), std::string::npos) << what;
+    EXPECT_NE(what.find(field), std::string::npos) << what;
+  }
+}
+
+TEST(Serialize, RejectsInconsistentGeometry) {
+  EXPECT_NO_THROW(from_text(probe_record("out 8 4 4 k 3 3 s 1 1 p 1 1 g 1")));
+  expect_rejected("out 8 99 99 k 3 3 s 1 1 p 1 1 g 1", "out_h/out_w");
+  expect_rejected("out 8 4 4 k 3 3 s 0 0 p 1 1 g 1", "stride");
+  expect_rejected("out 8 4 4 k 0 3 s 1 1 p 1 1 g 1", "kernel");
+  expect_rejected("out 8 4 4 k 3 3 s 1 1 p 1 1 g 3", "groups");
+  expect_rejected("out 8 4 4 k 3 3 s 1 1 p 1 1 g 0", "groups");
 }
 
 TEST(Serialize, LoadMissingFileThrows) {

@@ -12,7 +12,7 @@
 #include "nn/ops.hpp"
 #include "sched/execute.hpp"
 #include "sched/latency.hpp"
-#include "sched/latency_cache.hpp"
+#include "sched/eval_fast.hpp"
 #include "systolic/cycle_model.hpp"
 #include "systolic/sim.hpp"
 #include "tensor/half.hpp"
@@ -159,12 +159,13 @@ TEST(Property, LayerLatencyMacsAlwaysMatchLayerMacs) {
 }
 
 TEST(Property, CachedLatencyEqualsUncachedEqualsSimulatedCycles) {
-  // Three independent implementations of "how long does this layer take"
-  // must agree on random geometries: the memoized LatencyCache lookup, the
-  // direct analytic model, and the PE-grid simulator actually executing
-  // the layer (overlap_fold_drain=false — what the simulator measures).
+  // Independent answers to "how long does this layer take" must agree on
+  // random geometries: the memoized EvalCache lookup, the direct
+  // closed-form model, and the PE-grid simulator actually executing the
+  // layer (overlap_fold_drain=false — what the simulator measures).
   util::Rng rng(1008);
-  sched::LatencyCache cache;
+  sched::EvalCache cache;
+  const systolic::MemoryConfig mem;
   for (int trial = 0; trial < 8; ++trial) {
     const std::int64_t size = 4 + static_cast<std::int64_t>(rng.uniform_index(5));
     systolic::ArrayConfig cfg = systolic::square_array(size);
@@ -197,7 +198,8 @@ TEST(Property, CachedLatencyEqualsUncachedEqualsSimulatedCycles) {
       const auto uncached = sched::layer_latency(cs.layer, cfg);
       // First lookup computes, second must hit; both equal the direct call.
       for (int pass = 0; pass < 2; ++pass) {
-        const auto cached = cache.get_or_compute(cs.layer, cfg);
+        const auto cached =
+            cache.get_or_compute(cs.layer, cfg, mem).latency;
         EXPECT_EQ(cached.cycles, uncached.cycles)
             << "trial " << trial << " pass " << pass << " "
             << cs.layer.to_string();

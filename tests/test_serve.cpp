@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "nn/layer.hpp"
@@ -19,6 +20,7 @@
 #include "systolic/config.hpp"
 #include "systolic/memory.hpp"
 #include "util/check.hpp"
+#include "util/telemetry.hpp"
 
 namespace fuse::serve {
 namespace {
@@ -90,6 +92,41 @@ TEST(ModelPool, ServiceCyclesMatchesRooflineAtBatchOne) {
   EXPECT_EQ(pool.entries(), 1u);
   pool.entry(key);  // memoized: repeat lookups do not rebuild
   EXPECT_EQ(pool.entries(), 1u);
+}
+
+// Racing first lookups of one key build outside the memo's locks, but only
+// the winning insert counts as a build and every caller sees that entry.
+TEST(ModelPool, RacingLookupsCountOneBuildPerKey) {
+  ModelPool pool = make_pool();
+  const ShapeKey key = custom_key(pool.register_custom(small_chain()));
+  util::Counter& builds = util::metrics().counter("serve.model_builds");
+  const std::uint64_t builds0 = builds.value();
+  std::vector<const ModelEntry*> seen(4, nullptr);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < seen.size(); ++t) {
+    threads.emplace_back([&, t] { seen[t] = &pool.entry(key); });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (const ModelEntry* entry : seen) {
+    EXPECT_EQ(entry, seen.front());
+  }
+  EXPECT_EQ(pool.entries(), 1u);
+  if (util::telemetry_enabled()) {
+    EXPECT_EQ(builds.value() - builds0, 1u);
+  }
+}
+
+TEST(ModelPool, RegisterCustomValidatesLayers) {
+  ModelPool pool = make_pool();
+  nets::NetworkModel model = small_chain();
+  model.layers[1].out_h = 99;  // declared output disagrees with the conv
+  EXPECT_THROW(pool.register_custom(model), util::Error);
+  model = small_chain();
+  model.layers[0].stride_w = 0;
+  EXPECT_THROW(pool.register_custom(model), util::Error);
+  EXPECT_EQ(pool.register_custom(small_chain()), 0);
 }
 
 TEST(ModelPool, BatchingAmortizesTheRooflineBound) {

@@ -1,16 +1,22 @@
 // util::ThreadPool contract: clean start/join, every task runs exactly
 // once, exceptions cross back to the caller, the zero-thread pool degrades
 // to inline serial execution, and nested parallel loops make progress.
-// These are the invariants the SweepEngine's determinism guarantee stands
-// on; tools/check.sh additionally runs this suite under ThreadSanitizer.
+// Plus the util::ShardedMemo contract: hit/miss/entry accounting, stable
+// references, and one entry per key under racing misses. These are the
+// invariants the SweepEngine's determinism guarantee stands on;
+// tools/check.sh additionally runs this suite under ThreadSanitizer.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <latch>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "util/check.hpp"
+#include "util/sharded_memo.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fuse::util {
@@ -299,6 +305,85 @@ TEST(ThreadPool, ParallelForUsesMultipleThreadsWhenAvailable) {
     distinct = distinct || ids[static_cast<std::size_t>(i)] != ids[0];
   }
   EXPECT_TRUE(distinct);
+}
+
+// --- ShardedMemo ---------------------------------------------------------
+
+struct IntHash {
+  std::size_t operator()(int key) const {
+    return static_cast<std::size_t>(hash_words(std::array<int, 1>{key}));
+  }
+};
+using IntMemo = ShardedMemo<int, std::string, IntHash>;
+
+TEST(ShardedMemo, CountsHitsMissesAndEntries) {
+  IntMemo memo;
+  int computes = 0;
+  const auto compute = [&computes] {
+    ++computes;
+    return std::string("seven");
+  };
+  EXPECT_EQ(memo.lookup(7, compute).first, "seven");
+  EXPECT_EQ(memo.lookup(7, compute).first, "seven");
+  EXPECT_TRUE(memo.lookup(8, [] { return std::string("eight"); }).second);
+  EXPECT_FALSE(memo.lookup(8, [] { return std::string("other"); }).second);
+  EXPECT_EQ(computes, 1);
+  EXPECT_EQ(memo.hits(), 2u);
+  EXPECT_EQ(memo.misses(), 2u);
+  EXPECT_EQ(memo.entries(), 2u);
+  EXPECT_DOUBLE_EQ(memo.hit_rate_pct(), 50.0);
+  memo.clear();
+  EXPECT_EQ(memo.entries(), 0u);
+  EXPECT_EQ(memo.hits(), 0u);
+  EXPECT_EQ(memo.misses(), 0u);
+  EXPECT_DOUBLE_EQ(memo.hit_rate_pct(), 0.0);
+}
+
+TEST(ShardedMemo, ReferencesSurviveRehash) {
+  IntMemo memo;
+  const std::string& first =
+      memo.lookup(0, [] { return std::string("zero"); }).first;
+  for (int key = 1; key < 5000; ++key) {  // forces many rehashes
+    memo.lookup(key, [key] { return std::to_string(key); });
+  }
+  EXPECT_EQ(first, "zero");
+  EXPECT_EQ(&memo.lookup(0, [] { return std::string("again"); }).first,
+            &first);
+  EXPECT_EQ(memo.entries(), 5000u);
+}
+
+TEST(ShardedMemo, RacingMissesLeaveOneEntry) {
+  constexpr int kThreads = 4;
+  IntMemo memo;
+  std::latch start(kThreads);
+  std::atomic<int> computes{0};
+  std::atomic<int> inserts{0};
+  std::vector<const std::string*> seen(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      const auto [value, inserted] = memo.lookup(42, [&computes] {
+        computes.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        return std::string("forty-two");
+      });
+      seen[static_cast<std::size_t>(t)] = &value;
+      inserts.fetch_add(inserted ? 1 : 0);
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_GE(computes.load(), 1);
+  EXPECT_EQ(inserts.load(), 1);
+  EXPECT_EQ(memo.entries(), 1u);
+  EXPECT_EQ(memo.misses(), 1u);
+  EXPECT_EQ(memo.hits(), static_cast<std::uint64_t>(kThreads - 1));
+  for (const std::string* value : seen) {
+    EXPECT_EQ(value, seen.front());
+    EXPECT_EQ(*value, "forty-two");
+  }
 }
 
 }  // namespace

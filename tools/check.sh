@@ -62,7 +62,11 @@
 #      --threads=1 --no-cache and --threads=8, the fresh BENCH_dse.json
 #      diffs against the committed baseline via bench_compare (frontier
 #      rows exact, *_cps wall), and a perturbed frontier latency must
-#      make the gate exit nonzero.
+#      make the gate exit nonzero,
+#  14. benchmark harness smoke: perfbench/run.py --smoke on table_sweep and
+#      design_sweep — the harness builds against src/ and names program
+#      functions and headers directly, so a rename that breaks it fails
+#      here rather than only in a benchmark run.
 #
 # Usage: tools/check.sh [build-dir] [tsan-build-dir] [asan-build-dir]
 #        [release-build-dir]
@@ -83,13 +87,13 @@ filter_bench_output() {
   grep -vE '^(sweep:|#)' || true
 }
 
-echo "=== [1/13] default build + full test suite ==="
+echo "=== [1/14] default build + full test suite ==="
 cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure
 
 echo
-echo "=== [2/13] ThreadSanitizer build + concurrency suites ==="
+echo "=== [2/14] ThreadSanitizer build + concurrency suites ==="
 CONCURRENCY_TESTS=(test_thread_pool test_sweep_determinism test_properties
                    test_telemetry test_kernels test_systolic_sim
                    test_netplan test_serve)
@@ -102,7 +106,7 @@ for t in "${CONCURRENCY_TESTS[@]}"; do
 done
 
 echo
-echo "=== [3/13] AddressSanitizer build + mapping/executor suites ==="
+echo "=== [3/14] AddressSanitizer build + mapping/executor suites ==="
 ASAN_TESTS=(test_mapping test_execute test_systolic_sim test_netplan
             test_serve)
 cmake -B "$ASAN_DIR" -S . -DFUSE_SANITIZE=address \
@@ -114,7 +118,7 @@ for t in "${ASAN_TESTS[@]}"; do
 done
 
 echo
-echo "=== [4/13] Release -O3 build: kernel differential suite + bench smoke ==="
+echo "=== [4/14] Release -O3 build: kernel differential suite + bench smoke ==="
 cmake -B "$RELEASE_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$RELEASE_DIR" -j "$(nproc)" --target test_kernels bench_kernels
 echo "--- test_kernels (Release) ---"
@@ -124,7 +128,7 @@ echo "--- bench_kernels smoke (Release) ---"
 echo "bench_kernels smoke: ok"
 
 echo
-echo "=== [5/13] forced-ISA matrix: differential suite + bench CSV tolerance ==="
+echo "=== [5/14] forced-ISA matrix: differential suite + bench CSV tolerance ==="
 TELEMETRY_TMP="$(mktemp -d)"
 trap 'rm -rf "$TELEMETRY_TMP"' EXIT
 # The differential suite under each forced ISA. Under =scalar the float
@@ -178,7 +182,7 @@ print(f"{len(names)} files agree between --kernel-isa=scalar and =auto")
 EOF
 
 echo
-echo "=== [6/13] bench determinism: --threads=1 --no-cache vs --threads=8 ==="
+echo "=== [6/14] bench determinism: --threads=1 --no-cache vs --threads=8 ==="
 for bench in bench_table1 bench_fig8d_scaling bench_pareto \
              bench_resolution bench_width_mult bench_nos; do
   bin="$BUILD_DIR/bench/$bench"
@@ -198,7 +202,7 @@ for bench in bench_table1 bench_fig8d_scaling bench_pareto \
 done
 
 echo
-echo "=== [7/13] backend equality: --kernel-backend=fast vs reference ==="
+echo "=== [7/14] backend equality: --kernel-backend=fast vs reference ==="
 # Every golden-producing bench (all of bench/ except the google-benchmark
 # micro-bench, whose output is wall time). Each runs with --csv where
 # supported, in a per-backend scratch dir; stdout and every CSV written
@@ -247,7 +251,7 @@ for bench in "${GOLDEN_BENCHES[@]}"; do
 done
 
 echo
-echo "=== [8/13] sim backend equality: --sim-backend=fast vs reference ==="
+echo "=== [8/14] sim backend equality: --sim-backend=fast vs reference ==="
 # The simulator-driven examples must print byte-identical stdout under
 # either engine (the fast engine is bit-exact, cycles included). The
 # second fast leg also pins --sim-threads=4: fold-parallel execution may
@@ -274,7 +278,7 @@ done
 echo "bench_sim bit-exactness smoke: ok"
 
 echo
-echo "=== [9/13] schedule equality: default vs --sched-mode=per-layer ==="
+echo "=== [9/14] schedule equality: default vs --sched-mode=per-layer ==="
 # The fused network schedule is strictly opt-in: with no flag, every
 # bench must print exactly what an explicit --sched-mode=per-layer run
 # prints (bench_ria_analysis takes no CLI flags, so its per-layer leg
@@ -304,7 +308,7 @@ for bench in "${GOLDEN_BENCHES[@]}"; do
 done
 
 echo
-echo "=== [10/13] telemetry export: profile_network JSON validity ==="
+echo "=== [10/14] telemetry export: profile_network JSON validity ==="
 "$BUILD_DIR/examples/profile_network" --net mobilenet_v2 --variant fuse_full \
   --trace-json "$TELEMETRY_TMP/profile.json" \
   --stats-json "$TELEMETRY_TMP/profile.stats.json"
@@ -345,7 +349,7 @@ print(f"{len(paths)} telemetry JSON files parsed; attribution sums check")
 EOF
 
 echo
-echo "=== [11/13] perf-regression lab: bench_compare vs committed baselines ==="
+echo "=== [11/14] perf-regression lab: bench_compare vs committed baselines ==="
 # Fresh machine-readable artifacts from the two deterministic-core
 # benches, diffed against the committed baselines. Cycle counts, MAC and
 # byte totals, and roofline bounds are model outputs and must reproduce
@@ -384,7 +388,7 @@ python3 tools/bench_compare.py "$TELEMETRY_TMP/history/BENCH_fusion.jsonl" \
   "$TELEMETRY_TMP/BENCH_fusion.json" --quiet
 
 echo
-echo "=== [12/13] serving lab: bench_serve + serve_demo determinism ==="
+echo "=== [12/14] serving lab: bench_serve + serve_demo determinism ==="
 # bench_serve FUSE_CHECKs the >= 2x dynamic-batching gate internally, so
 # a clean exit is the throughput claim. The artifact must be
 # byte-identical between worker counts: every number in it is a
@@ -451,7 +455,7 @@ else
 fi
 
 echo
-echo "=== [13/13] design-space lab: bench_dse equality + frontier determinism ==="
+echo "=== [13/14] design-space lab: bench_dse equality + frontier determinism ==="
 # A plain run is already the evaluator-equality grid and the >= 10x
 # throughput gate (both FUSE_CHECKed inside the binary). The two legs
 # here additionally pin thread-count determinism: stdout (minus "# "
@@ -493,6 +497,15 @@ if python3 tools/bench_compare.py results/BENCH_dse.json \
   exit 1
 fi
 echo "bench_compare: perturbed frontier latency correctly rejected"
+
+echo
+echo "=== [14/14] benchmark harness smoke: perfbench table_sweep + design_sweep ==="
+# --smoke runs one clean round of ops (every check must pass), then one
+# round that feeds every check a corrupted output (each must fail).
+for workload in table_sweep design_sweep; do
+  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+    --trace 0 --smoke
+done
 
 echo
 echo "all checks passed"
