@@ -2,38 +2,75 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "util/check.hpp"
 
 namespace fuse::nn {
 
-float apply_activation(float x, Activation act) {
+namespace {
+
+/// The one definition of each activation formula. The scalar and the tensor
+/// entry points both instantiate it, so they are bit-identical by
+/// construction.
+template <Activation A>
+inline float activate(float x) {
+  if constexpr (A == Activation::kNone) {
+    return x;
+  } else if constexpr (A == Activation::kRelu) {
+    return x > 0.0F ? x : 0.0F;
+  } else if constexpr (A == Activation::kRelu6) {
+    return std::clamp(x, 0.0F, 6.0F);
+  } else if constexpr (A == Activation::kHardSwish) {
+    return x * std::clamp(x + 3.0F, 0.0F, 6.0F) / 6.0F;
+  } else if constexpr (A == Activation::kHardSigmoid) {
+    return std::clamp(x + 3.0F, 0.0F, 6.0F) / 6.0F;
+  } else {
+    return 1.0F / (1.0F + std::exp(-x));
+  }
+}
+
+template <Activation A>
+using ActivationTag = std::integral_constant<Activation, A>;
+
+/// Calls fn(ActivationTag<act>{}): the one switch over activations, hoisted
+/// out of every per-element loop.
+template <typename Fn>
+void with_activation(Activation act, Fn&& fn) {
   switch (act) {
     case Activation::kNone:
-      return x;
+      return fn(ActivationTag<Activation::kNone>{});
     case Activation::kRelu:
-      return x > 0.0F ? x : 0.0F;
+      return fn(ActivationTag<Activation::kRelu>{});
     case Activation::kRelu6:
-      return std::clamp(x, 0.0F, 6.0F);
+      return fn(ActivationTag<Activation::kRelu6>{});
     case Activation::kHardSwish:
-      return x * std::clamp(x + 3.0F, 0.0F, 6.0F) / 6.0F;
+      return fn(ActivationTag<Activation::kHardSwish>{});
     case Activation::kHardSigmoid:
-      return std::clamp(x + 3.0F, 0.0F, 6.0F) / 6.0F;
+      return fn(ActivationTag<Activation::kHardSigmoid>{});
     case Activation::kSigmoid:
-      return 1.0F / (1.0F + std::exp(-x));
+      return fn(ActivationTag<Activation::kSigmoid>{});
   }
   FUSE_CHECK(false) << "unknown activation";
-  return 0.0F;
+}
+
+}  // namespace
+
+float apply_activation(float x, Activation act) {
+  float y = 0.0F;
+  with_activation(act, [&](auto a) { y = activate<decltype(a)::value>(x); });
+  return y;
 }
 
 tensor::Tensor apply_activation(const tensor::Tensor& input, Activation act) {
   tensor::Tensor out = input;
-  if (act == Activation::kNone) {
-    return out;
-  }
-  for (std::int64_t i = 0; i < out.num_elements(); ++i) {
-    out[i] = apply_activation(out[i], act);
-  }
+  float* x = out.data();
+  const std::int64_t n = out.num_elements();
+  with_activation(act, [&](auto a) {
+    for (std::int64_t i = 0; i < n; ++i) {
+      x[i] = activate<decltype(a)::value>(x[i]);
+    }
+  });
   return out;
 }
 

@@ -251,33 +251,34 @@ Tensor pool2d(const Tensor& input, std::int64_t kernel, std::int64_t stride,
   const std::int64_t out_h = conv_out_dim(in_h, kernel, stride, pad);
   const std::int64_t out_w = conv_out_dim(in_w, kernel, stride, pad);
   Tensor out(Shape{batch, channels, out_h, out_w});
-  for (std::int64_t n = 0; n < batch; ++n) {
-    for (std::int64_t c = 0; c < channels; ++c) {
-      for (std::int64_t oy = 0; oy < out_h; ++oy) {
-        for (std::int64_t ox = 0; ox < out_w; ++ox) {
-          double acc = average ? 0.0 : -std::numeric_limits<double>::infinity();
-          std::int64_t valid = 0;
-          for (std::int64_t ky = 0; ky < kernel; ++ky) {
-            const std::int64_t iy = oy * stride - pad + ky;
-            if (iy < 0 || iy >= in_h) {
-              continue;
-            }
-            for (std::int64_t kx = 0; kx < kernel; ++kx) {
-              const std::int64_t ix = ox * stride - pad + kx;
-              if (ix < 0 || ix >= in_w) {
-                continue;
-              }
-              acc = reduce(acc, static_cast<double>(input.at(n, c, iy, ix)));
-              ++valid;
-            }
+  const float* src = input.data();
+  float* dst = out.data();
+  for (std::int64_t plane = 0; plane < batch * channels; ++plane) {
+    for (std::int64_t oy = 0; oy < out_h; ++oy) {
+      // The window's in-bounds taps, in the same ky/kx order as a full
+      // scan that skips padding.
+      const std::int64_t y0 = oy * stride - pad;
+      const std::int64_t ky_lo = std::max<std::int64_t>(0, -y0);
+      const std::int64_t ky_hi = std::min(kernel, in_h - y0);
+      for (std::int64_t ox = 0; ox < out_w; ++ox) {
+        const std::int64_t x0 = ox * stride - pad;
+        const std::int64_t kx_lo = std::max<std::int64_t>(0, -x0);
+        const std::int64_t kx_hi = std::min(kernel, in_w - x0);
+        FUSE_CHECK(ky_lo < ky_hi && kx_lo < kx_hi)
+            << "pooling window entirely in padding";
+        double acc = average ? 0.0 : -std::numeric_limits<double>::infinity();
+        for (std::int64_t ky = ky_lo; ky < ky_hi; ++ky) {
+          const float* row = src + (y0 + ky) * in_w;
+          for (std::int64_t kx = kx_lo; kx < kx_hi; ++kx) {
+            acc = reduce(acc, static_cast<double>(row[x0 + kx]));
           }
-          FUSE_CHECK(valid > 0) << "pooling window entirely in padding";
-          out.at(n, c, oy, ox) =
-              static_cast<float>(average ? acc / static_cast<double>(valid)
-                                         : acc);
         }
+        const std::int64_t valid = (ky_hi - ky_lo) * (kx_hi - kx_lo);
+        *dst++ = static_cast<float>(
+            average ? acc / static_cast<double>(valid) : acc);
       }
     }
+    src += in_h * in_w;
   }
   return out;
 }
@@ -306,14 +307,15 @@ Tensor global_avg_pool(const Tensor& input) {
   const std::int64_t channels = input.shape().dim(1);
   const std::int64_t spatial = input.shape().dim(2) * input.shape().dim(3);
   Tensor out(Shape{batch, channels, 1, 1});
-  for (std::int64_t n = 0; n < batch; ++n) {
-    for (std::int64_t c = 0; c < channels; ++c) {
-      double acc = 0.0;
-      for (std::int64_t hw = 0; hw < spatial; ++hw) {
-        acc += input[(n * channels + c) * spatial + hw];
-      }
-      out.at(n, c, 0, 0) = static_cast<float>(acc / spatial);
+  const float* src = input.data();
+  float* dst = out.data();
+  for (std::int64_t plane = 0; plane < batch * channels; ++plane) {
+    double acc = 0.0;
+    for (std::int64_t hw = 0; hw < spatial; ++hw) {
+      acc += src[hw];
     }
+    dst[plane] = static_cast<float>(acc / spatial);
+    src += spatial;
   }
   return out;
 }
@@ -323,8 +325,11 @@ Tensor add(const Tensor& a, const Tensor& b) {
       << "add on mismatched shapes " << a.shape().to_string() << " vs "
       << b.shape().to_string();
   Tensor out = a;
-  for (std::int64_t i = 0; i < out.num_elements(); ++i) {
-    out[i] += b[i];
+  float* x = out.data();
+  const float* y = b.data();
+  const std::int64_t n = out.num_elements();
+  for (std::int64_t i = 0; i < n; ++i) {
+    x[i] += y[i];
   }
   return out;
 }
@@ -338,17 +343,16 @@ Tensor concat_channels(const Tensor& a, const Tensor& b) {
       << "concat_channels N/H/W mismatch: " << a.shape().to_string() << " vs "
       << b.shape().to_string();
   const std::int64_t batch = a.shape().dim(0);
-  const std::int64_t c_a = a.shape().dim(1);
-  const std::int64_t c_b = b.shape().dim(1);
-  const std::int64_t spatial = a.shape().dim(2) * a.shape().dim(3);
-  Tensor out(Shape{batch, c_a + c_b, a.shape().dim(2), a.shape().dim(3)});
+  const std::int64_t block_a = a.shape().dim(1) * a.shape().dim(2) *
+                               a.shape().dim(3);
+  const std::int64_t block_b = b.shape().dim(1) * b.shape().dim(2) *
+                               b.shape().dim(3);
+  Tensor out(Shape{batch, a.shape().dim(1) + b.shape().dim(1),
+                   a.shape().dim(2), a.shape().dim(3)});
+  float* dst = out.data();
   for (std::int64_t n = 0; n < batch; ++n) {
-    for (std::int64_t i = 0; i < c_a * spatial; ++i) {
-      out[(n * (c_a + c_b)) * spatial + i] = a[n * c_a * spatial + i];
-    }
-    for (std::int64_t i = 0; i < c_b * spatial; ++i) {
-      out[(n * (c_a + c_b) + c_a) * spatial + i] = b[n * c_b * spatial + i];
-    }
+    dst = std::copy_n(a.data() + n * block_a, block_a, dst);
+    dst = std::copy_n(b.data() + n * block_b, block_b, dst);
   }
   return out;
 }
@@ -362,17 +366,17 @@ Tensor scale_channels(const Tensor& input, const Tensor& scale) {
              scale.shape().dim(1) == input.shape().dim(1))
       << "scale must be [N, C, 1, 1] matching input, got "
       << scale.shape().to_string();
-  const std::int64_t batch = input.shape().dim(0);
-  const std::int64_t channels = input.shape().dim(1);
+  const std::int64_t planes = input.shape().dim(0) * input.shape().dim(1);
   const std::int64_t spatial = input.shape().dim(2) * input.shape().dim(3);
   Tensor out = input;
-  for (std::int64_t n = 0; n < batch; ++n) {
-    for (std::int64_t c = 0; c < channels; ++c) {
-      const float s = scale.at(n, c, 0, 0);
-      for (std::int64_t hw = 0; hw < spatial; ++hw) {
-        out[(n * channels + c) * spatial + hw] *= s;
-      }
+  float* x = out.data();
+  const float* gains = scale.data();
+  for (std::int64_t plane = 0; plane < planes; ++plane) {
+    const float g = gains[plane];
+    for (std::int64_t hw = 0; hw < spatial; ++hw) {
+      x[hw] *= g;
     }
+    x += spatial;
   }
   return out;
 }
@@ -388,14 +392,15 @@ Tensor batchnorm_folded(const Tensor& input, const Tensor& scale,
   const std::int64_t batch = input.shape().dim(0);
   const std::int64_t spatial = input.shape().dim(2) * input.shape().dim(3);
   Tensor out = input;
+  float* x = out.data();
   for (std::int64_t n = 0; n < batch; ++n) {
     for (std::int64_t c = 0; c < channels; ++c) {
-      const float a = scale.at(c);
-      const float b = shift.at(c);
+      const float a = scale.data()[c];
+      const float b = shift.data()[c];
       for (std::int64_t hw = 0; hw < spatial; ++hw) {
-        float& x = out[(n * channels + c) * spatial + hw];
-        x = x * a + b;
+        x[hw] = x[hw] * a + b;
       }
+      x += spatial;
     }
   }
   return out;

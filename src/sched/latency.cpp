@@ -29,15 +29,14 @@ LatencyEstimate cached_layer_latency(const LayerDesc& layer,
 }  // namespace
 
 // PE-occupancy accounting: busy PE-cycles are exactly the useful MACs
-// (one MAC per PE per cycle), total PE-cycles are cycles x array PEs.
+// (one MAC per PE per cycle), so sched.macs doubles as the busy count;
+// total PE-cycles are cycles x array PEs.
 // These are the registry-side numbers behind --stats-json; the bench
 // footer keeps its own per-engine stats.
 void record_layer_metrics(const LatencyEstimate& est) {
   static util::Counter& layers = util::metrics().counter("sched.layers");
   static util::Counter& macs = util::metrics().counter("sched.macs");
   static util::Counter& folds = util::metrics().counter("sched.folds");
-  static util::Counter& pe_busy =
-      util::metrics().counter("sched.pe_cycles_busy");
   static util::Counter& pe_total =
       util::metrics().counter("sched.pe_cycles_total");
   static util::Histogram& cycles =
@@ -45,7 +44,6 @@ void record_layer_metrics(const LatencyEstimate& est) {
   layers.add();
   macs.add(est.mac_ops);
   folds.add(est.folds);
-  pe_busy.add(est.mac_ops);
   pe_total.add(est.cycles * static_cast<std::uint64_t>(est.pe_count));
   cycles.observe(est.cycles);
 }

@@ -19,18 +19,6 @@ Tensor::Tensor(Shape shape, std::vector<float> values)
       << shape_.to_string();
 }
 
-float& Tensor::operator[](std::int64_t index) {
-  FUSE_DCHECK(index >= 0 && index < num_elements())
-      << "flat index " << index << " out of range for " << shape_.to_string();
-  return data_[static_cast<std::size_t>(index)];
-}
-
-float Tensor::operator[](std::int64_t index) const {
-  FUSE_DCHECK(index >= 0 && index < num_elements())
-      << "flat index " << index << " out of range for " << shape_.to_string();
-  return data_[static_cast<std::size_t>(index)];
-}
-
 std::int64_t Tensor::flat_index(std::int64_t i, std::int64_t j) const {
   FUSE_DCHECK(shape_.rank() == 2) << "rank-2 access on " << shape_.to_string();
   FUSE_DCHECK(i >= 0 && i < shape_.dim(0) && j >= 0 && j < shape_.dim(1))

@@ -33,9 +33,19 @@ class Tensor {
   float* data() { return data_.data(); }
   const float* data() const { return data_.data(); }
 
-  /// Flat element access (bounds-checked in debug builds).
-  float& operator[](std::int64_t index);
-  float operator[](std::int64_t index) const;
+  /// Flat element access: inline, bounds-checked in debug builds only.
+  float& operator[](std::int64_t index) {
+    FUSE_DCHECK(index >= 0 && index < num_elements())
+        << "flat index " << index << " out of range for "
+        << shape_.to_string();
+    return data_[static_cast<std::size_t>(index)];
+  }
+  float operator[](std::int64_t index) const {
+    FUSE_DCHECK(index >= 0 && index < num_elements())
+        << "flat index " << index << " out of range for "
+        << shape_.to_string();
+    return data_[static_cast<std::size_t>(index)];
+  }
 
   /// Unchecked hot-path accessors: inline, no rank/bounds validation
   /// beyond a debug assertion. The cycle-accurate simulator's inner

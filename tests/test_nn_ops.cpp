@@ -1,7 +1,13 @@
 // Unit tests for the functional reference operators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "nn/activations.hpp"
 #include "nn/ops.hpp"
@@ -22,6 +28,21 @@ Tensor random_tensor(Shape shape, std::uint64_t seed, float lo = -1.0F,
   Tensor t(std::move(shape));
   t.fill_uniform(rng, lo, hi);
   return t;
+}
+
+/// True when both tensors have the same shape and the same bytes.
+bool same_bits(const Tensor& actual, const Tensor& expected) {
+  return actual.shape() == expected.shape() &&
+         std::memcmp(actual.data(), expected.data(),
+                     static_cast<std::size_t>(actual.num_elements()) *
+                         sizeof(float)) == 0;
+}
+
+/// The odd spatial sizes, at batch 2, that the glue-op bitwise tests run on.
+const std::vector<Shape>& glue_shapes() {
+  static const std::vector<Shape> shapes = {
+      Shape{2, 3, 1, 1}, Shape{2, 5, 7, 7}, Shape{2, 4, 13, 11}};
+  return shapes;
 }
 
 // --- matmul -----------------------------------------------------------------
@@ -390,6 +411,139 @@ TEST(BatchnormFolded, AffinePerChannel) {
   EXPECT_EQ(out.at(0, 1, 0, 1), -2.0F);
 }
 
+// Every glue op against a naive index loop with the same arithmetic in the
+// same order: the outputs must be bit-identical, not merely close.
+
+TEST(GlueBitwise, AddMatchesNaiveLoop) {
+  for (const Shape& shape : glue_shapes()) {
+    const Tensor a = random_tensor(shape, 201, -8.0F, 8.0F);
+    const Tensor b = random_tensor(shape, 202, -8.0F, 8.0F);
+    Tensor want(shape);
+    for (std::int64_t i = 0; i < want.num_elements(); ++i) {
+      want[i] = a[i] + b[i];
+    }
+    EXPECT_TRUE(same_bits(add(a, b), want)) << shape.to_string();
+  }
+}
+
+TEST(GlueBitwise, ScaleChannelsMatchesNaiveLoop) {
+  for (const Shape& shape : glue_shapes()) {
+    const Tensor input = random_tensor(shape, 203, -8.0F, 8.0F);
+    const Tensor scale =
+        random_tensor(Shape{shape.dim(0), shape.dim(1), 1, 1}, 204);
+    Tensor want(shape);
+    for (std::int64_t n = 0; n < shape.dim(0); ++n) {
+      for (std::int64_t c = 0; c < shape.dim(1); ++c) {
+        for (std::int64_t y = 0; y < shape.dim(2); ++y) {
+          for (std::int64_t x = 0; x < shape.dim(3); ++x) {
+            want.at(n, c, y, x) = input.at(n, c, y, x) * scale.at(n, c, 0, 0);
+          }
+        }
+      }
+    }
+    EXPECT_TRUE(same_bits(scale_channels(input, scale), want))
+        << shape.to_string();
+  }
+}
+
+TEST(GlueBitwise, BatchnormFoldedMatchesNaiveLoop) {
+  for (const Shape& shape : glue_shapes()) {
+    const Tensor input = random_tensor(shape, 205, -8.0F, 8.0F);
+    const Tensor scale = random_tensor(Shape{shape.dim(1)}, 206);
+    const Tensor shift = random_tensor(Shape{shape.dim(1)}, 207);
+    Tensor want(shape);
+    for (std::int64_t n = 0; n < shape.dim(0); ++n) {
+      for (std::int64_t c = 0; c < shape.dim(1); ++c) {
+        for (std::int64_t y = 0; y < shape.dim(2); ++y) {
+          for (std::int64_t x = 0; x < shape.dim(3); ++x) {
+            want.at(n, c, y, x) =
+                input.at(n, c, y, x) * scale.at(c) + shift.at(c);
+          }
+        }
+      }
+    }
+    EXPECT_TRUE(same_bits(batchnorm_folded(input, scale, shift), want))
+        << shape.to_string();
+  }
+}
+
+TEST(GlueBitwise, GlobalAvgPoolMatchesNaiveLoop) {
+  for (const Shape& shape : glue_shapes()) {
+    const Tensor input = random_tensor(shape, 208, -8.0F, 8.0F);
+    Tensor want(Shape{shape.dim(0), shape.dim(1), 1, 1});
+    for (std::int64_t n = 0; n < shape.dim(0); ++n) {
+      for (std::int64_t c = 0; c < shape.dim(1); ++c) {
+        double acc = 0.0;
+        for (std::int64_t y = 0; y < shape.dim(2); ++y) {
+          for (std::int64_t x = 0; x < shape.dim(3); ++x) {
+            acc += input.at(n, c, y, x);
+          }
+        }
+        want.at(n, c, 0, 0) = static_cast<float>(
+            acc / static_cast<double>(shape.dim(2) * shape.dim(3)));
+      }
+    }
+    EXPECT_TRUE(same_bits(global_avg_pool(input), want)) << shape.to_string();
+  }
+}
+
+/// Max or average pooling as a naive index loop: a double accumulator over
+/// the window's in-bounds taps in (ky, kx) order; the average divides by
+/// the in-bounds count.
+Tensor naive_pool(const Tensor& input, std::int64_t kernel,
+                  std::int64_t stride, std::int64_t pad, bool average) {
+  const Shape& s = input.shape();
+  const std::int64_t out_h = (s.dim(2) + 2 * pad - kernel) / stride + 1;
+  const std::int64_t out_w = (s.dim(3) + 2 * pad - kernel) / stride + 1;
+  Tensor out(Shape{s.dim(0), s.dim(1), out_h, out_w});
+  for (std::int64_t n = 0; n < s.dim(0); ++n) {
+    for (std::int64_t c = 0; c < s.dim(1); ++c) {
+      for (std::int64_t oy = 0; oy < out_h; ++oy) {
+        for (std::int64_t ox = 0; ox < out_w; ++ox) {
+          double acc =
+              average ? 0.0 : -std::numeric_limits<double>::infinity();
+          std::int64_t valid = 0;
+          for (std::int64_t ky = 0; ky < kernel; ++ky) {
+            for (std::int64_t kx = 0; kx < kernel; ++kx) {
+              const std::int64_t iy = oy * stride - pad + ky;
+              const std::int64_t ix = ox * stride - pad + kx;
+              if (iy < 0 || iy >= s.dim(2) || ix < 0 || ix >= s.dim(3)) {
+                continue;
+              }
+              const double v = input.at(n, c, iy, ix);
+              acc = average ? acc + v : std::max(acc, v);
+              ++valid;
+            }
+          }
+          out.at(n, c, oy, ox) = static_cast<float>(
+              average ? acc / static_cast<double>(valid) : acc);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(GlueBitwise, PoolingMatchesNaiveLoop) {
+  struct Window {
+    std::int64_t kernel, stride, pad;
+  };
+  for (const Shape& shape : glue_shapes()) {
+    const Tensor input = random_tensor(shape, 209, -8.0F, 8.0F);
+    for (const Window w : {Window{1, 1, 0}, Window{3, 1, 1}, Window{3, 2, 1},
+                           Window{5, 2, 2}}) {
+      EXPECT_TRUE(same_bits(max_pool2d(input, w.kernel, w.stride, w.pad),
+                            naive_pool(input, w.kernel, w.stride, w.pad,
+                                       /*average=*/false)))
+          << "max " << shape.to_string() << " k" << w.kernel;
+      EXPECT_TRUE(same_bits(avg_pool2d(input, w.kernel, w.stride, w.pad),
+                            naive_pool(input, w.kernel, w.stride, w.pad,
+                                       /*average=*/true)))
+          << "avg " << shape.to_string() << " k" << w.kernel;
+    }
+  }
+}
+
 // --- activations ------------------------------------------------------------
 
 TEST(Activations, ReluClampsNegatives) {
@@ -443,6 +597,43 @@ TEST(Activations, TensorApplication) {
   const Tensor out = apply_activation(t, Activation::kRelu);
   EXPECT_EQ(out.at(0), 0.0F);
   EXPECT_EQ(out.at(2), 2.0F);
+}
+
+
+// The tensor loop instantiates the same formula as the scalar entry point,
+// so every element must carry the scalar result's exact bit pattern —
+// including signed zeros, infinities, NaN and denormals, and on every
+// length 1..67 so each vector width's tail is exercised.
+TEST(Activations, TensorMatchesScalarBitwise) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> specials = {
+      0.0F, -0.0F, inf, -inf, std::numeric_limits<float>::quiet_NaN(),
+      3.0F, -3.0F, 6.0F, -6.0F, std::numeric_limits<float>::denorm_min(),
+      1e30F, -1e30F};
+  util::Rng rng(211);
+  for (Activation act :
+       {Activation::kNone, Activation::kRelu, Activation::kRelu6,
+        Activation::kHardSwish, Activation::kHardSigmoid,
+        Activation::kSigmoid}) {
+    for (std::int64_t n = 1; n <= 67; ++n) {
+      Tensor input(Shape{n});
+      input.fill_uniform(rng, -8.0F, 8.0F);
+      // Every other element is a special value, rotated with n so each
+      // one lands in vector bodies and tails alike.
+      for (std::int64_t i = 0; i < n; i += 2) {
+        input[i] = specials[static_cast<std::size_t>(i / 2 + n) %
+                            specials.size()];
+      }
+      const Tensor out = apply_activation(input, act);
+      ASSERT_EQ(out.shape(), input.shape());
+      for (std::int64_t i = 0; i < n; ++i) {
+        const float want = apply_activation(input[i], act);
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(out[i]),
+                  std::bit_cast<std::uint32_t>(want))
+            << activation_name(act) << " n=" << n << " x=" << input[i];
+      }
+    }
+  }
 }
 
 

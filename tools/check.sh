@@ -63,10 +63,13 @@
 #      diffs against the committed baseline via bench_compare (frontier
 #      rows exact, *_cps wall), and a perturbed frontier latency must
 #      make the gate exit nonzero,
-#  14. benchmark harness smoke: perfbench/run.py --smoke on table_sweep and
-#      design_sweep — the harness builds against src/ and names program
-#      functions and headers directly, so a rename that breaks it fails
-#      here rather than only in a benchmark run.
+#  14. benchmark harness smoke: perfbench/run.py --smoke on all four
+#      workloads (table_sweep, design_sweep, host_infer, array_sim) — the
+#      harness builds against src/ and names program functions and headers
+#      directly, so a rename that breaks it fails here rather than only in
+#      a benchmark run; host_infer's smoke also runs its exact glue checks
+#      (activation, add, scale_channels, global_avg_pool) on clean and on
+#      corrupted outputs.
 #
 # Usage: tools/check.sh [build-dir] [tsan-build-dir] [asan-build-dir]
 #        [release-build-dir]
@@ -499,10 +502,10 @@ fi
 echo "bench_compare: perturbed frontier latency correctly rejected"
 
 echo
-echo "=== [14/14] benchmark harness smoke: perfbench table_sweep + design_sweep ==="
+echo "=== [14/14] benchmark harness smoke: perfbench, all four workloads ==="
 # --smoke runs one clean round of ops (every check must pass), then one
 # round that feeds every check a corrupted output (each must fail).
-for workload in table_sweep design_sweep; do
+for workload in table_sweep design_sweep host_infer array_sim; do
   python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
     --trace 0 --smoke
 done
