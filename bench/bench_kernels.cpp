@@ -7,11 +7,13 @@
 // simulator's own cost visible.
 //
 // Besides the usual google-benchmark flags, `--json=<path>` writes a
-// machine-readable row per benchmark: {op, backend, isa, ns_per_op,
+// machine-readable row per benchmark: {op, backend, isa, ns_per_op, macs,
 // gflops} — the perf-trajectory artifact results/BENCH_kernels.json is
-// regenerated from (tools/regenerate_results.sh). The fast_scalar legs
-// pin FUSE_KERNEL_ISA=scalar so the artifact records the scalar-vs-SIMD
-// split on the machine that produced it.
+// regenerated from (tools/regenerate_results.sh). Every benchmark runs on
+// wall-clock time (UseRealTime), so ns_per_op and the GFLOP/s rate of the
+// multi-threaded legs are elapsed time, not the main thread's CPU time.
+// The fast_scalar legs pin FUSE_KERNEL_ISA=scalar so the artifact records
+// the scalar-vs-SIMD split on the machine that produced it.
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
@@ -86,7 +88,14 @@ struct VariantScope {
   }
 };
 
+/// Registers one variant of a benchmark, timed on wall-clock time.
+#define KERNEL_BENCH(fn, label, variant) \
+  BENCHMARK_CAPTURE(fn, label, variant)->UseRealTime()
+
+/// Records the MACs of one op and the FLOP rate they give; with
+/// UseRealTime the rate is over elapsed time.
 void set_flops(benchmark::State& state, std::int64_t macs) {
+  state.counters["macs"] = static_cast<double>(macs);
   state.counters["flops"] = benchmark::Counter(
       static_cast<double>(2 * macs) * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
@@ -105,11 +114,11 @@ void BM_Gemm(benchmark::State& state, Variant v) {
   }
   set_flops(state, 196 * 576 * 96);
 }
-BENCHMARK_CAPTURE(BM_Gemm, reference, kReference);
-BENCHMARK_CAPTURE(BM_Gemm, fast, kFast);
-BENCHMARK_CAPTURE(BM_Gemm, fast_scalar, kFastScalar);
-BENCHMARK_CAPTURE(BM_Gemm, fast_t2, kFastT2);
-BENCHMARK_CAPTURE(BM_Gemm, fast_t4, kFastT4);
+KERNEL_BENCH(BM_Gemm, reference, kReference);
+KERNEL_BENCH(BM_Gemm, fast, kFast);
+KERNEL_BENCH(BM_Gemm, fast_scalar, kFastScalar);
+KERNEL_BENCH(BM_Gemm, fast_t2, kFastT2);
+KERNEL_BENCH(BM_Gemm, fast_t4, kFastT4);
 
 /// Shared driver for the conv pairs: runs nn::conv2d through the public
 /// dispatcher under the variant's backend.
@@ -131,9 +140,9 @@ void BM_Conv3x3(benchmark::State& state, Variant v) {
   run_conv(state, v, input, weight, p,
            /*macs=*/static_cast<std::int64_t>(32) * 3 * 3 * 3 * 56 * 56);
 }
-BENCHMARK_CAPTURE(BM_Conv3x3, reference, kReference);
-BENCHMARK_CAPTURE(BM_Conv3x3, fast, kFast);
-BENCHMARK_CAPTURE(BM_Conv3x3, fast_scalar, kFastScalar);
+KERNEL_BENCH(BM_Conv3x3, reference, kReference);
+KERNEL_BENCH(BM_Conv3x3, fast, kFast);
+KERNEL_BENCH(BM_Conv3x3, fast_scalar, kFastScalar);
 
 // --- MobileNet-V2 expansion pointwise: [1, 96, 14, 14] -> 576, 1x1.
 void BM_PointwiseConv(benchmark::State& state, Variant v) {
@@ -142,10 +151,10 @@ void BM_PointwiseConv(benchmark::State& state, Variant v) {
   run_conv(state, v, input, weight, Conv2dParams{},
            /*macs=*/static_cast<std::int64_t>(576) * 96 * 14 * 14);
 }
-BENCHMARK_CAPTURE(BM_PointwiseConv, reference, kReference);
-BENCHMARK_CAPTURE(BM_PointwiseConv, fast, kFast);
-BENCHMARK_CAPTURE(BM_PointwiseConv, fast_scalar, kFastScalar);
-BENCHMARK_CAPTURE(BM_PointwiseConv, fast_t2, kFastT2);
+KERNEL_BENCH(BM_PointwiseConv, reference, kReference);
+KERNEL_BENCH(BM_PointwiseConv, fast, kFast);
+KERNEL_BENCH(BM_PointwiseConv, fast_scalar, kFastScalar);
+KERNEL_BENCH(BM_PointwiseConv, fast_t2, kFastT2);
 
 // --- MobileNet-V2 depthwise: [1, 144, 56, 56], 3x3 pad 1, groups = C.
 void BM_DepthwiseConv3x3(benchmark::State& state, Variant v) {
@@ -155,9 +164,9 @@ void BM_DepthwiseConv3x3(benchmark::State& state, Variant v) {
   run_conv(state, v, input, weight, p,
            /*macs=*/static_cast<std::int64_t>(144) * 9 * 56 * 56);
 }
-BENCHMARK_CAPTURE(BM_DepthwiseConv3x3, reference, kReference);
-BENCHMARK_CAPTURE(BM_DepthwiseConv3x3, fast, kFast);
-BENCHMARK_CAPTURE(BM_DepthwiseConv3x3, fast_scalar, kFastScalar);
+KERNEL_BENCH(BM_DepthwiseConv3x3, reference, kReference);
+KERNEL_BENCH(BM_DepthwiseConv3x3, fast, kFast);
+KERNEL_BENCH(BM_DepthwiseConv3x3, fast_scalar, kFastScalar);
 
 // --- FuSe row branch: the same geometry factored to 1x3, groups = C.
 void BM_FuseRow(benchmark::State& state, Variant v) {
@@ -167,9 +176,9 @@ void BM_FuseRow(benchmark::State& state, Variant v) {
   run_conv(state, v, input, weight, p,
            /*macs=*/static_cast<std::int64_t>(144) * 3 * 56 * 56);
 }
-BENCHMARK_CAPTURE(BM_FuseRow, reference, kReference);
-BENCHMARK_CAPTURE(BM_FuseRow, fast, kFast);
-BENCHMARK_CAPTURE(BM_FuseRow, fast_scalar, kFastScalar);
+KERNEL_BENCH(BM_FuseRow, reference, kReference);
+KERNEL_BENCH(BM_FuseRow, fast, kFast);
+KERNEL_BENCH(BM_FuseRow, fast_scalar, kFastScalar);
 
 // --- FuSe col branch: 3x1, groups = C.
 void BM_FuseCol(benchmark::State& state, Variant v) {
@@ -179,25 +188,38 @@ void BM_FuseCol(benchmark::State& state, Variant v) {
   run_conv(state, v, input, weight, p,
            /*macs=*/static_cast<std::int64_t>(144) * 3 * 56 * 56);
 }
-BENCHMARK_CAPTURE(BM_FuseCol, reference, kReference);
-BENCHMARK_CAPTURE(BM_FuseCol, fast, kFast);
-BENCHMARK_CAPTURE(BM_FuseCol, fast_scalar, kFastScalar);
+KERNEL_BENCH(BM_FuseCol, reference, kReference);
+KERNEL_BENCH(BM_FuseCol, fast, kFast);
+KERNEL_BENCH(BM_FuseCol, fast_scalar, kFastScalar);
 
-// --- Classifier: [8, 1280] x [1000, 1280] linear.
-void BM_Linear(benchmark::State& state, Variant v) {
+// --- Classifier: [batch, 1280] x [1000, 1280] linear.
+void run_linear(benchmark::State& state, const Variant& v,
+                std::int64_t batch) {
   VariantScope scope(v);
-  const Tensor input = random_tensor(Shape{8, 1280}, 13);
+  const Tensor input = random_tensor(Shape{batch, 1280}, 13);
   const Tensor weight = random_tensor(Shape{1000, 1280}, 14);
   const Tensor bias = random_tensor(Shape{1000}, 15);
   for (auto _ : state) {
     benchmark::DoNotOptimize(fuse::nn::linear(input, weight, &bias));
   }
-  set_flops(state, static_cast<std::int64_t>(8) * 1280 * 1000);
+  set_flops(state, batch * 1280 * 1000);
 }
-BENCHMARK_CAPTURE(BM_Linear, reference, kReference);
-BENCHMARK_CAPTURE(BM_Linear, fast, kFast);
-BENCHMARK_CAPTURE(BM_Linear, fast_scalar, kFastScalar);
-BENCHMARK_CAPTURE(BM_Linear, fast_t2, kFastT2);
+
+void BM_Linear(benchmark::State& state, Variant v) {
+  run_linear(state, v, /*batch=*/8);
+}
+KERNEL_BENCH(BM_Linear, reference, kReference);
+KERNEL_BENCH(BM_Linear, fast, kFast);
+KERNEL_BENCH(BM_Linear, fast_scalar, kFastScalar);
+KERNEL_BENCH(BM_Linear, fast_t2, kFastT2);
+
+// --- The batch-1 classifier of a single inference (perfbench host_infer).
+void BM_LinearBatch1(benchmark::State& state, Variant v) {
+  run_linear(state, v, /*batch=*/1);
+}
+KERNEL_BENCH(BM_LinearBatch1, reference, kReference);
+KERNEL_BENCH(BM_LinearBatch1, fast, kFast);
+KERNEL_BENCH(BM_LinearBatch1, fast_scalar, kFastScalar);
 
 // --- FuSeConv stage forward (both 1-D branches + concat/pointwise as
 // applicable) through the dispatcher, MobileNet-scale shrunk 4x.
@@ -221,19 +243,20 @@ void run_fuse_stage(benchmark::State& state, const Variant& v,
   for (auto _ : state) {
     benchmark::DoNotOptimize(stage.forward(input));
   }
+  set_flops(state, static_cast<std::int64_t>(spec.stage_macs()));
 }
 
 void BM_FuseConvHalf(benchmark::State& state, Variant v) {
   run_fuse_stage(state, v, fuse::core::FuseVariant::kHalf);
 }
-BENCHMARK_CAPTURE(BM_FuseConvHalf, reference, kReference);
-BENCHMARK_CAPTURE(BM_FuseConvHalf, fast, kFast);
+KERNEL_BENCH(BM_FuseConvHalf, reference, kReference);
+KERNEL_BENCH(BM_FuseConvHalf, fast, kFast);
 
 void BM_FuseConvFull(benchmark::State& state, Variant v) {
   run_fuse_stage(state, v, fuse::core::FuseVariant::kFull);
 }
-BENCHMARK_CAPTURE(BM_FuseConvFull, reference, kReference);
-BENCHMARK_CAPTURE(BM_FuseConvFull, fast, kFast);
+KERNEL_BENCH(BM_FuseConvFull, reference, kReference);
+KERNEL_BENCH(BM_FuseConvFull, fast, kFast);
 
 // --- Cycle-level simulator primitives (no backend pairing: the sim is
 // the measured artifact itself).
@@ -246,7 +269,7 @@ void BM_SimMatmul(benchmark::State& state) {
     benchmark::DoNotOptimize(sim.matmul(a, b));
   }
 }
-BENCHMARK(BM_SimMatmul)->Arg(8)->Arg(16)->Arg(32);
+BENCHMARK(BM_SimMatmul)->Arg(8)->Arg(16)->Arg(32)->UseRealTime();
 
 void BM_SimConv1dBroadcast(benchmark::State& state) {
   const std::int64_t size = state.range(0);
@@ -257,13 +280,14 @@ void BM_SimConv1dBroadcast(benchmark::State& state) {
     benchmark::DoNotOptimize(sim.conv1d_broadcast(lines, kernels));
   }
 }
-BENCHMARK(BM_SimConv1dBroadcast)->Arg(8)->Arg(16)->Arg(32);
+BENCHMARK(BM_SimConv1dBroadcast)->Arg(8)->Arg(16)->Arg(32)->UseRealTime();
 
 // --- Reporting -----------------------------------------------------------
 
 struct JsonRow {
   std::string name;
   double ns_per_op = 0.0;
+  double macs = 0.0;  // 0 for rows without a MAC count (the sim benches)
   double gflops = 0.0;
 };
 
@@ -284,8 +308,17 @@ class CapturingReporter : public benchmark::ConsoleReporter {
         continue;
       }
       JsonRow row;
-      row.name = run.benchmark_name();
+      // The name without google-benchmark's "/real_time" suffix, which
+      // every row carries (KERNEL_BENCH).
+      row.name = run.run_name.function_name;
+      if (!run.run_name.args.empty()) {
+        row.name += "/" + run.run_name.args;
+      }
       row.ns_per_op = run.GetAdjustedRealTime();  // default unit: ns
+      const auto macs = run.counters.find("macs");
+      if (macs != run.counters.end()) {
+        row.macs = macs->second.value;
+      }
       const auto it = run.counters.find("flops");
       if (it != run.counters.end()) {
         row.gflops = it->second.value / 1e9;  // kIsRate -> FLOP/s
@@ -349,9 +382,11 @@ void write_json(const std::string& path, const std::vector<JsonRow>& rows) {
     const std::string isa = isa_for_backend(backend);
     std::fprintf(f,
                  "  {\"name\": \"%s\", \"op\": \"%s\", \"backend\": \"%s\", "
-                 "\"isa\": \"%s\", \"ns_per_op\": %.1f, \"gflops\": %.3f}%s\n",
+                 "\"isa\": \"%s\", \"ns_per_op\": %.1f, \"macs\": %.0f, "
+                 "\"gflops\": %.3f}%s\n",
                  rows[i].name.c_str(), op.c_str(), backend.c_str(),
-                 isa.c_str(), rows[i].ns_per_op, rows[i].gflops,
+                 isa.c_str(), rows[i].ns_per_op, rows[i].macs,
+                 rows[i].gflops,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "]\n");

@@ -161,7 +161,7 @@ void run_tiles(std::int64_t tiles, std::int64_t units_per_tile,
 
 constexpr std::int64_t kNr = 8;   // register-tile columns (one packed panel)
 constexpr std::int64_t kMcGemm = 64;   // rows of C per parallel task
-constexpr std::int64_t kMcConv = 64;   // output positions per im2col panel
+constexpr std::int64_t kNcConv = 64;   // output positions per conv task
 
 /// Packs columns of a row-major B[k, n] (row stride ldb) into
 /// ceil(n / kNr) column panels of width kNr, each laid out k-major
@@ -184,19 +184,19 @@ void pack_b_panels(const float* b, std::int64_t kk, std::int64_t n,
   pack_bytes_counter().add(out.size() * sizeof(float));
 }
 
-/// Packs ROWS of a row-major W[n, k] (row stride ldw) as the columns of
-/// the panel layout above — i.e. packs B = W^T without materializing the
-/// transpose. Used by linear (weight is [F_out, F_in], the GEMM wants
-/// [F_in, F_out]).
-void pack_bt_panels(const float* w, std::int64_t n, std::int64_t kk,
-                    std::int64_t ldw, std::vector<float>& out) {
+/// Packs ROWS of a row-major X[n, k] (row stride ldx) as the columns of
+/// the panel layout above — i.e. packs B = X^T without materializing the
+/// transpose. Linear packs its [batch, F_in] input this way, so the
+/// stored [F_out, F_in] weight is the GEMM's A operand as it stands.
+void pack_bt_panels(const float* x, std::int64_t n, std::int64_t kk,
+                    std::int64_t ldx, std::vector<float>& out) {
   const std::int64_t panels = (n + kNr - 1) / kNr;
   out.assign(static_cast<std::size_t>(panels * kk * kNr), 0.0F);
   for (std::int64_t p = 0; p < panels; ++p) {
     float* dst = out.data() + p * kk * kNr;
     const std::int64_t cols = std::min(kNr, n - p * kNr);
     for (std::int64_t j = 0; j < cols; ++j) {
-      const float* src = w + (p * kNr + j) * ldw;
+      const float* src = x + (p * kNr + j) * ldx;
       for (std::int64_t k = 0; k < kk; ++k) {
         dst[k * kNr + j] = src[k];
       }
@@ -213,7 +213,7 @@ void pack_bt_panels(const float* w, std::int64_t n, std::int64_t kk,
 // output element sees exactly the reference accumulation sequence. The
 // float variant reproduces nn::matmul (float accumulator from 0); the
 // f64 variant reproduces nn::conv2d / nn::linear (double accumulator
-// seeded with the bias, products formed exactly in double).
+// seeded with the bias of its A row, products formed exactly in double).
 // ---------------------------------------------------------------------------
 
 template <int MR>
@@ -237,28 +237,31 @@ void micro_f32(const float* a, std::int64_t lda, const float* bp,
   }
 }
 
-/// Double-accumulator tile: out(r, j) = bias[j] + sum_k a(r, k) * b(k, j),
-/// written through arbitrary row/column strides (conv scatters to NCHW).
+/// Double-accumulator tile: out(r, j) = bias[r] + sum_k a(r, k) * b(k, j)
+/// (bias may be null = zero seed), written through arbitrary row/column
+/// strides.
 template <int MR>
 void micro_f64(const float* a, std::int64_t lda, const float* bp,
-               std::int64_t kk, const double* bias8, float* out,
+               std::int64_t kk, const float* bias, float* out,
                std::int64_t row_stride, std::int64_t col_stride,
                std::int64_t ncols) {
   double acc[MR][kNr];
   for (int r = 0; r < MR; ++r) {
+    const double seed = bias != nullptr ? static_cast<double>(bias[r]) : 0.0;
     for (std::int64_t j = 0; j < kNr; ++j) {
-      acc[r][j] = bias8[j];
+      acc[r][j] = seed;
     }
   }
+  // Only the ncols live lanes are accumulated: a batch-1 linear has one.
   for (std::int64_t k = 0; k < kk; ++k) {
     const float* brow = bp + k * kNr;
     double bd[kNr];
-    for (std::int64_t j = 0; j < kNr; ++j) {
+    for (std::int64_t j = 0; j < ncols; ++j) {
       bd[j] = static_cast<double>(brow[j]);
     }
     for (int r = 0; r < MR; ++r) {
       const double av = static_cast<double>(a[r * lda + k]);
-      for (std::int64_t j = 0; j < kNr; ++j) {
+      for (std::int64_t j = 0; j < ncols; ++j) {
         acc[r][j] += av * bd[j];
       }
     }
@@ -270,74 +273,101 @@ void micro_f64(const float* a, std::int64_t lda, const float* bp,
   }
 }
 
-/// All kNr-wide panels of one A block against packed B, f64 accumulation.
-/// a: [rows x kk] row-major (lda = kk for packed panels), bias: per output
-/// column (may be null), out indexed as out + r*row_stride + j*col_stride.
+/// The scalar twin of kernels::avx2::block_gemm (same contract, f64
+/// accumulation): every A row strip against every kNr-wide B panel, so a
+/// strip of weight rows stays in cache while the panels stream past it.
 void block_gemm_f64(const float* a, std::int64_t lda, std::int64_t rows,
                     const float* b_panels, std::int64_t kk, std::int64_t n,
                     const float* bias, float* out, std::int64_t row_stride,
                     std::int64_t col_stride) {
   const std::int64_t panels = (n + kNr - 1) / kNr;
-  for (std::int64_t p = 0; p < panels; ++p) {
-    const float* bp = b_panels + p * kk * kNr;
-    const std::int64_t j0 = p * kNr;
-    const std::int64_t ncols = std::min(kNr, n - j0);
-    double bias8[kNr] = {};
-    if (bias != nullptr) {
-      for (std::int64_t j = 0; j < ncols; ++j) {
-        bias8[j] = static_cast<double>(bias[j0 + j]);
-      }
+  const auto strip = [&](auto micro, std::int64_t r) {
+    for (std::int64_t p = 0; p < panels; ++p) {
+      const std::int64_t j0 = p * kNr;
+      micro(a + r * lda, lda, b_panels + p * kk * kNr, kk,
+            bias != nullptr ? bias + r : nullptr,
+            out + r * row_stride + j0 * col_stride, row_stride, col_stride,
+            std::min(kNr, n - j0));
     }
-    std::int64_t r = 0;
-    for (; r + 2 <= rows; r += 2) {
-      micro_f64<2>(a + r * lda, lda, bp, kk, bias8,
-                   out + r * row_stride + j0 * col_stride, row_stride,
-                   col_stride, ncols);
-    }
-    for (; r < rows; ++r) {
-      micro_f64<1>(a + r * lda, lda, bp, kk, bias8,
-                   out + r * row_stride + j0 * col_stride, row_stride,
-                   col_stride, ncols);
-    }
+  };
+  std::int64_t r = 0;
+  for (; r + 2 <= rows; r += 2) {
+    strip(micro_f64<2>, r);
+  }
+  for (; r < rows; ++r) {
+    strip(micro_f64<1>, r);
+  }
+}
+
+/// Y = A * B for the weight GEMMs under the chosen ISA; see
+/// kernels::avx2::block_gemm for the contract.
+void weight_gemm(KernelIsa isa, const float* a, std::int64_t lda,
+                 std::int64_t rows, const float* b_panels, std::int64_t kk,
+                 std::int64_t n, const float* bias, float* out,
+                 std::int64_t row_stride, std::int64_t col_stride) {
+  if (isa == KernelIsa::kAvx2) {
+    kernels::avx2::block_gemm(a, lda, rows, b_panels, kk, n, bias, out,
+                              row_stride, col_stride);
+  } else {
+    block_gemm_f64(a, lda, rows, b_panels, kk, n, bias, out, row_stride,
+                   col_stride);
   }
 }
 
 // ---------------------------------------------------------------------------
-// im2col-on-the-fly panel builder
+// Activation panels (conv's B operand)
 // ---------------------------------------------------------------------------
 
-/// Writes the im2col rows for output positions [p0, p0 + rows) of one
-/// image, channels [c0, c0 + channels), into `panel` ([rows x taps],
-/// taps ordered channel-major then kernel-row then kernel-column — the
-/// reference conv2d's accumulation order). Padding taps are 0.
-void build_im2col_panel(const float* image, std::int64_t in_c,
-                        std::int64_t in_h, std::int64_t in_w,
-                        std::int64_t c0, std::int64_t channels,
-                        const Conv2dParams& p, std::int64_t out_w,
-                        std::int64_t p0, std::int64_t rows, std::int64_t kh,
-                        std::int64_t kw, float* panel) {
-  (void)in_c;
-  const std::int64_t taps_per_c = kh * kw;
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const std::int64_t oy = (p0 + r) / out_w;
-    const std::int64_t ox = (p0 + r) % out_w;
-    const std::int64_t iy0 = oy * p.stride_h - p.pad_h;
-    const std::int64_t ix0 = ox * p.stride_w - p.pad_w;
-    float* dst = panel + r * channels * taps_per_c;
+/// Writes the conv B operand for output positions [p0, p0 + cols) of one
+/// image, channels [c0, c0 + channels), as ceil(cols / kNr) k-major kNr
+/// panels: k runs over the taps channel-major then kernel-row then
+/// kernel-column — the reference conv2d's accumulation order — and lane
+/// j of panel q is position p0 + q * kNr + j. Padding taps and the lanes
+/// past `cols` are 0. A 1x1 stride-1 pad-0 dense conv's taps are the
+/// channel planes themselves, so its panels are straight row copies.
+void build_conv_panels(const float* image, std::int64_t in_h,
+                       std::int64_t in_w, std::int64_t c0,
+                       std::int64_t channels, const Conv2dParams& p,
+                       std::int64_t kh, std::int64_t kw, std::int64_t out_w,
+                       std::int64_t p0, std::int64_t cols, float* panels) {
+  const std::int64_t kk = channels * kh * kw;
+  const std::int64_t panel_count = (cols + kNr - 1) / kNr;
+  if (kh == 1 && kw == 1 && p.stride_h == 1 && p.stride_w == 1 &&
+      p.pad_h == 0 && p.pad_w == 0 && p.groups == 1) {
+    for (std::int64_t k = 0; k < kk; ++k) {
+      const float* src = image + (c0 + k) * in_h * in_w + p0;
+      for (std::int64_t q = 0; q < panel_count; ++q) {
+        float* dst = panels + (q * kk + k) * kNr;
+        const std::int64_t lanes = std::min(kNr, cols - q * kNr);
+        std::copy_n(src + q * kNr, lanes, dst);
+        std::fill(dst + lanes, dst + kNr, 0.0F);
+      }
+    }
+    return;
+  }
+  for (std::int64_t q = 0; q < panel_count; ++q) {
+    // Top-left input tap of each lane's window; lanes past `cols` start
+    // below the image so every one of their taps reads as padding.
+    std::int64_t iy0[kNr];
+    std::int64_t ix0[kNr];
+    for (std::int64_t j = 0; j < kNr; ++j) {
+      const std::int64_t pos = p0 + q * kNr + j;
+      const bool live = q * kNr + j < cols;
+      iy0[j] = live ? (pos / out_w) * p.stride_h - p.pad_h : in_h;
+      ix0[j] = live ? (pos % out_w) * p.stride_w - p.pad_w : 0;
+    }
+    float* dst = panels + q * kk * kNr;
     for (std::int64_t ic = 0; ic < channels; ++ic) {
       const float* plane = image + (c0 + ic) * in_h * in_w;
       for (std::int64_t ky = 0; ky < kh; ++ky) {
-        const std::int64_t iy = iy0 + ky * p.dilation_h;
-        if (iy < 0 || iy >= in_h) {
-          for (std::int64_t kx = 0; kx < kw; ++kx) {
-            *dst++ = 0.0F;
-          }
-          continue;
-        }
-        const float* row = plane + iy * in_w;
         for (std::int64_t kx = 0; kx < kw; ++kx) {
-          const std::int64_t ix = ix0 + kx * p.dilation_w;
-          *dst++ = (ix < 0 || ix >= in_w) ? 0.0F : row[ix];
+          for (std::int64_t j = 0; j < kNr; ++j) {
+            const std::int64_t iy = iy0[j] + ky * p.dilation_h;
+            const std::int64_t ix = ix0[j] + kx * p.dilation_w;
+            *dst++ = (iy < 0 || iy >= in_h || ix < 0 || ix >= in_w)
+                         ? 0.0F
+                         : plane[iy * in_w + ix];
+          }
         }
       }
     }
@@ -624,14 +654,14 @@ Tensor conv2d_channelwise_fast(const Tensor& input, const Tensor& weight,
 }
 
 // ---------------------------------------------------------------------------
-// Dense / grouped conv through im2col-on-the-fly GEMM
+// Dense / grouped / pointwise conv: Y[out_c x positions] = W * X
 // ---------------------------------------------------------------------------
 
 Tensor conv2d_gemm_fast(const Tensor& input, const Tensor& weight,
                         const Tensor* bias, const Conv2dParams& p) {
   FUSE_KERNEL_COUNTER("kernels.fast.conv2d");
-  // im2col linearizes every geometry, so the GEMM path vectorizes
-  // unconditionally.
+  // The activation panels linearize every geometry, so the GEMM path
+  // vectorizes unconditionally.
   const KernelIsa isa = note_isa();
   const std::int64_t batch = input.shape().dim(0);
   const std::int64_t in_c = input.shape().dim(1);
@@ -651,46 +681,35 @@ Tensor conv2d_gemm_fast(const Tensor& input, const Tensor& weight,
 
   Tensor output(Shape{batch, out_c, out_h, out_w});
   const float* in_ptr = input.data();
+  const float* w_ptr = weight.data();
   const float* bias_ptr = bias != nullptr ? bias->data() : nullptr;
   float* out_ptr = output.data();
-  const std::int64_t blocks = (positions + kMcConv - 1) / kMcConv;
+  const std::int64_t blocks = (positions + kNcConv - 1) / kNcConv;
 
-  std::vector<float> b_panels;
-  for (std::int64_t g = 0; g < p.groups; ++g) {
-    // Weight rows for this group's out channels are contiguous [taps]
-    // slices in (ic, ky, kx) order — exactly the panel's k order.
-    pack_bt_panels(weight.data() + g * group_out * taps, group_out, taps,
-                   taps, b_panels);
-    const float* panels = b_panels.data();
-    const float* group_bias =
-        bias_ptr != nullptr ? bias_ptr + g * group_out : nullptr;
-    run_tiles(batch * blocks, kMcConv, [&, g](std::int64_t task) {
-      const std::int64_t n = task / blocks;
-      const std::int64_t p0 = (task % blocks) * kMcConv;
-      const std::int64_t rows = std::min(kMcConv, positions - p0);
-      thread_local std::vector<float> panel;
-      panel.resize(static_cast<std::size_t>(kMcConv * taps));
-      build_im2col_panel(in_ptr + n * in_c * in_h * in_w, in_c, in_h, in_w,
-                         g * group_in, group_in, p, out_w, p0, rows, kh, kw,
-                         panel.data());
+  // One task per (image, block of positions): its activation panels are
+  // built once and every group's weight rows — the A operand, read in
+  // place as [group_out x taps] row-major in (ic, ky, kx) order — run
+  // against them, storing each output channel's positions contiguously.
+  run_tiles(batch * blocks, kNcConv, [&](std::int64_t task) {
+    const std::int64_t n = task / blocks;
+    const std::int64_t p0 = (task % blocks) * kNcConv;
+    const std::int64_t cols = std::min(kNcConv, positions - p0);
+    const std::int64_t panel_floats = (cols + kNr - 1) / kNr * kNr * taps;
+    thread_local std::vector<float> panels;
+    panels.resize(static_cast<std::size_t>(kNcConv * taps));
+    for (std::int64_t g = 0; g < p.groups; ++g) {
+      build_conv_panels(in_ptr + n * in_c * in_h * in_w, in_h, in_w,
+                        g * group_in, group_in, p, kh, kw, out_w, p0, cols,
+                        panels.data());
       pack_bytes_counter().add(
-          static_cast<std::uint64_t>(rows * taps) * sizeof(float));
-      // Output element (row r, col j) lives at NCHW offset
-      // (n, g*group_out + j, p0 + r): column stride = positions.
-      float* out_base =
-          out_ptr + (n * out_c + g * group_out) * positions + p0;
-      if (isa == KernelIsa::kAvx2) {
-        kernels::avx2::block_gemm(panel.data(), taps, rows, panels, taps,
-                                  group_out, group_bias, out_base,
-                                  /*row_stride=*/1,
-                                  /*col_stride=*/positions);
-      } else {
-        block_gemm_f64(panel.data(), taps, rows, panels, taps, group_out,
-                       group_bias, out_base, /*row_stride=*/1,
-                       /*col_stride=*/positions);
-      }
-    });
-  }
+          static_cast<std::uint64_t>(panel_floats) * sizeof(float));
+      weight_gemm(isa, w_ptr + g * group_out * taps, taps, group_out,
+                  panels.data(), taps, cols,
+                  bias_ptr != nullptr ? bias_ptr + g * group_out : nullptr,
+                  out_ptr + (n * out_c + g * group_out) * positions + p0,
+                  /*row_stride=*/positions, /*col_stride=*/1);
+    }
+  });
   return output;
 }
 
@@ -863,42 +882,22 @@ Tensor linear_fast(const Tensor& input, const Tensor& weight,
   const std::int64_t in_f = input.shape().dim(1);
   const std::int64_t out_f = weight.shape().dim(0);
   Tensor out(Shape{batch, out_f});
+  // Y[out_f x batch] = W * X^T: the stored weight rows are the A operand
+  // and only the (small) input is packed.
   std::vector<float> b_panels;
-  pack_bt_panels(weight.data(), out_f, in_f, in_f, b_panels);
-  const float* panels = b_panels.data();
-  const float* in_ptr = input.data();
+  pack_bt_panels(input.data(), batch, in_f, in_f, b_panels);
+  const float* w_ptr = weight.data();
   const float* bias_ptr = bias != nullptr ? bias->data() : nullptr;
   float* out_ptr = out.data();
-  // Tasks own disjoint column panels of the output (batch is usually
-  // small, out_f large: partition the feature axis).
-  const std::int64_t panel_count = (out_f + kNr - 1) / kNr;
-  run_tiles(panel_count, kNr * batch, [&](std::int64_t pn) {
-    const float* bp = panels + pn * in_f * kNr;
-    const std::int64_t j0 = pn * kNr;
-    const std::int64_t ncols = std::min(kNr, out_f - j0);
-    if (isa == KernelIsa::kAvx2) {
-      // One panel's worth of the GEMM: bias indexed from the panel base.
-      kernels::avx2::block_gemm(
-          in_ptr, in_f, batch, bp, in_f, ncols,
-          bias_ptr != nullptr ? bias_ptr + j0 : nullptr, out_ptr + j0,
-          /*row_stride=*/out_f, /*col_stride=*/1);
-      return;
-    }
-    double bias8[kNr] = {};
-    if (bias_ptr != nullptr) {
-      for (std::int64_t j = 0; j < ncols; ++j) {
-        bias8[j] = static_cast<double>(bias_ptr[j0 + j]);
-      }
-    }
-    std::int64_t r = 0;
-    for (; r + 2 <= batch; r += 2) {
-      micro_f64<2>(in_ptr + r * in_f, in_f, bp, in_f, bias8,
-                   out_ptr + r * out_f + j0, out_f, 1, ncols);
-    }
-    for (; r < batch; ++r) {
-      micro_f64<1>(in_ptr + r * in_f, in_f, bp, in_f, bias8,
-                   out_ptr + r * out_f + j0, out_f, 1, ncols);
-    }
+  // Tasks own disjoint blocks of output features; Y(o, n) lands at
+  // out[n * out_f + o].
+  const std::int64_t blocks = (out_f + kMcGemm - 1) / kMcGemm;
+  run_tiles(blocks, kMcGemm * batch, [&](std::int64_t block) {
+    const std::int64_t o0 = block * kMcGemm;
+    weight_gemm(isa, w_ptr + o0 * in_f, in_f, std::min(kMcGemm, out_f - o0),
+                b_panels.data(), in_f, batch,
+                bias_ptr != nullptr ? bias_ptr + o0 : nullptr, out_ptr + o0,
+                /*row_stride=*/1, /*col_stride=*/out_f);
   });
   return out;
 }

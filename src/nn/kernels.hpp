@@ -1,7 +1,7 @@
-// Fast host kernel backend: cache-blocked GEMM micro-kernels, an
-// im2col-on-the-fly convolution that never materializes the full patch
-// matrix, and shape-specialized depthwise / FuSe 1-D kernels, all
-// parallelized over independent output tiles on a process-wide
+// Fast host kernel backend: cache-blocked GEMM micro-kernels that read
+// conv and linear weights in place as the A operand against packed
+// activation panels, and shape-specialized depthwise / FuSe 1-D kernels,
+// all parallelized over independent output tiles on a process-wide
 // util::ThreadPool.
 //
 // The backend practices on the host what the paper practices on the
@@ -27,8 +27,10 @@
 //   * Under the AVX2 ISA the float kernels accumulate in single
 //     precision with FMA, so outputs are ULP-BOUNDED against the
 //     reference (util/ulp.hpp derives the bound; docs/kernels.md
-//     documents it). The INT8 kernels accumulate in int32 — exact in
-//     any order — and stay bit-identical under every ISA.
+//     documents it); the GEMM-backed ops (conv, linear, matmul) are
+//     exactly one fmaf chain per output in the reference tap order. The
+//     INT8 kernels accumulate in int32 — exact in any order — and stay
+//     bit-identical under every ISA.
 //
 // Backend selection: nn::conv2d / matmul / linear / the INT8 kernels and
 // the train::Module backward passes all dispatch on kernel_backend().

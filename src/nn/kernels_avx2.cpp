@@ -1,15 +1,15 @@
 // AVX2/FMA micro-kernels behind the fast backend's ISA dispatch
 // (kernels_isa.hpp documents the interface and numerics contract).
 //
-// Register blocking: the GEMM tile is 8x8 — eight YMM accumulators, one
-// broadcast per A element, one panel load per k step — giving eight
-// independent FMA chains, enough to cover the 4-5 cycle FMA latency at
-// two issues per cycle. The channelwise kernels vectorize the
-// interior-column range eight outputs at a time (contiguous loads need
-// stride_w == 1 && dilation_w == 1; the dispatcher falls back to the
-// scalar kernels otherwise) and handle edge columns with the same
-// float-accumulation scalar code, so one channel = one deterministic
-// accumulation order regardless of thread count.
+// Register blocking: the GEMM tile is 8x8 — eight YMM accumulators (one
+// per A row, seeded with that row's bias), one broadcast per A element,
+// one panel load per k step — giving eight independent FMA chains, enough
+// to cover the 4-5 cycle FMA latency at two FMAs per cycle. The
+// channelwise kernels vectorize the interior-column range eight outputs
+// at a time (contiguous loads need stride_w == 1 && dilation_w == 1; the
+// dispatcher falls back to the scalar kernels otherwise) and handle edge
+// columns with the same float-accumulation scalar code, so one channel =
+// one deterministic accumulation order regardless of thread count.
 //
 // Everything except the interface functions has internal linkage, and no
 // repo headers are included: nothing compiled under the avx2 target
@@ -42,39 +42,60 @@ constexpr std::int64_t kNr = 8;  // packed-panel width, fixed by kernels.cpp
 // GEMM 8x8 micro-tile
 // ---------------------------------------------------------------------------
 
-/// MR x 8 tile: acc[r] = seed; acc[r] += a(r, k) * panel(k, :) for all k,
-/// one FMA per (r, k). Stores through arbitrary out strides; the
-/// contiguous full-width case stores YMM directly.
+/// MR x 8 tile: acc[r] = bias[r] (0 when bias is null); acc[r] +=
+/// a(r, k) * panel(k, :) for all k, one FMA per (r, k). Stores through
+/// arbitrary out strides; the contiguous full-width case stores YMM
+/// directly.
 template <int MR>
 FUSE_TARGET_AVX2 void micro_tile(const float* a, std::int64_t lda,
                                  const float* bp, std::int64_t kk,
-                                 __m256 seed, float* out,
+                                 const float* bias, float* out,
                                  std::int64_t row_stride,
                                  std::int64_t col_stride,
                                  std::int64_t ncols) {
+  // The unroll pragmas let gcc see constant indexes into acc[] and keep
+  // every accumulator in a register; without them gcc 12 stored all of
+  // them to the stack on each k step.
   __m256 acc[MR];
+#pragma GCC unroll 8
   for (int r = 0; r < MR; ++r) {
-    acc[r] = seed;
+    acc[r] = bias != nullptr ? _mm256_set1_ps(bias[r]) : _mm256_setzero_ps();
   }
   for (std::int64_t k = 0; k < kk; ++k) {
     const __m256 b = _mm256_loadu_ps(bp + k * kNr);
+#pragma GCC unroll 8
     for (int r = 0; r < MR; ++r) {
       acc[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(a + r * lda + k), b,
                                acc[r]);
     }
   }
-  if (col_stride == 1 && ncols == kNr) {
-    for (int r = 0; r < MR; ++r) {
-      _mm256_storeu_ps(out + r * row_stride, acc[r]);
-    }
-    return;
-  }
-  alignas(32) float tmp[kNr];
+#pragma GCC unroll 8
   for (int r = 0; r < MR; ++r) {
-    _mm256_store_ps(tmp, acc[r]);
-    for (std::int64_t j = 0; j < ncols; ++j) {
-      out[r * row_stride + j * col_stride] = tmp[j];
+    float* row = out + r * row_stride;
+    if (col_stride == 1 && ncols == kNr) {
+      _mm256_storeu_ps(row, acc[r]);
+    } else {
+      alignas(32) float tmp[kNr];
+      _mm256_store_ps(tmp, acc[r]);
+      for (std::int64_t j = 0; j < ncols; ++j) {
+        row[j * col_stride] = tmp[j];
+      }
     }
+  }
+}
+
+/// One MR-row strip of A against every B panel (the strip stays in
+/// cache while the panels stream past it).
+template <int MR>
+FUSE_TARGET_AVX2 void strip(const float* a, std::int64_t lda,
+                            const float* b_panels, std::int64_t kk,
+                            std::int64_t n, const float* bias, float* out,
+                            std::int64_t row_stride,
+                            std::int64_t col_stride) {
+  for (std::int64_t j0 = 0; j0 < n; j0 += kNr) {
+    micro_tile<MR>(a, lda, b_panels + j0 * kk, kk, bias,
+                   out + j0 * col_stride, row_stride, col_stride,
+                   min64(kNr, n - j0));
   }
 }
 
@@ -111,36 +132,27 @@ inline float depthwise_edge(const float* plane, std::int64_t in_h,
 
 bool compiled() { return true; }
 
-FUSE_TARGET_AVX2 void block_gemm(const float* a, std::int64_t lda, std::int64_t rows,
-                const float* b_panels, std::int64_t kk, std::int64_t n,
-                const float* bias, float* out, std::int64_t row_stride,
-                std::int64_t col_stride) {
-  const std::int64_t panels = (n + kNr - 1) / kNr;
-  for (std::int64_t p = 0; p < panels; ++p) {
-    const float* bp = b_panels + p * kk * kNr;
-    const std::int64_t j0 = p * kNr;
-    const std::int64_t ncols = min64(kNr, n - j0);
-    alignas(32) float seed_lanes[kNr] = {};
-    if (bias != nullptr) {
-      for (std::int64_t j = 0; j < ncols; ++j) {
-        seed_lanes[j] = bias[j0 + j];
-      }
-    }
-    const __m256 seed = _mm256_load_ps(seed_lanes);
-    float* out_panel = out + j0 * col_stride;
-    std::int64_t r = 0;
-    for (; r + 8 <= rows; r += 8) {
-      micro_tile<8>(a + r * lda, lda, bp, kk, seed, out_panel + r * row_stride,
-                    row_stride, col_stride, ncols);
-    }
-    for (; r + 4 <= rows; r += 4) {
-      micro_tile<4>(a + r * lda, lda, bp, kk, seed, out_panel + r * row_stride,
-                    row_stride, col_stride, ncols);
-    }
-    for (; r < rows; ++r) {
-      micro_tile<1>(a + r * lda, lda, bp, kk, seed, out_panel + r * row_stride,
-                    row_stride, col_stride, ncols);
-    }
+FUSE_TARGET_AVX2 void block_gemm(const float* a, std::int64_t lda,
+                                 std::int64_t rows, const float* b_panels,
+                                 std::int64_t kk, std::int64_t n,
+                                 const float* bias, float* out,
+                                 std::int64_t row_stride,
+                                 std::int64_t col_stride) {
+  const auto row_bias = [bias](std::int64_t r) {
+    return bias != nullptr ? bias + r : nullptr;
+  };
+  std::int64_t r = 0;
+  for (; r + 8 <= rows; r += 8) {
+    strip<8>(a + r * lda, lda, b_panels, kk, n, row_bias(r),
+             out + r * row_stride, row_stride, col_stride);
+  }
+  for (; r + 4 <= rows; r += 4) {
+    strip<4>(a + r * lda, lda, b_panels, kk, n, row_bias(r),
+             out + r * row_stride, row_stride, col_stride);
+  }
+  for (; r < rows; ++r) {
+    strip<1>(a + r * lda, lda, b_panels, kk, n, row_bias(r),
+             out + r * row_stride, row_stride, col_stride);
   }
 }
 

@@ -10,12 +10,16 @@
 // interface is raw pointers and a plain-int geometry struct.
 //
 // Numerics contract (docs/kernels.md): the float kernels here accumulate
-// in SINGLE precision with FMA, so outputs are ULP-bounded against the
-// reference oracles (util/ulp.hpp derives the bound) rather than
-// bit-exact; the int8 kernels accumulate in int32, which is exact in any
-// order, so they stay bit-identical to the scalar path. Per-element
-// accumulation order is a function of shape only — never of thread count
-// — so results remain bit-exact across thread counts at a fixed ISA.
+// in SINGLE precision with FMA. The GEMM (block_gemm, behind conv, linear
+// and matmul) computes each output as one fmaf chain — seeded with the
+// bias or 0, taps in ascending k, padding taps multiplied as zeros — and
+// tests/test_kernels.cpp pins it bit-for-bit against that chain. The
+// channelwise kernels are ULP-bounded against the reference oracles
+// (util/ulp.hpp derives the bound). The int8 kernels accumulate in int32,
+// which is exact in any order, so they stay bit-identical to the scalar
+// path. Per-element accumulation order is a function of shape only —
+// never of thread count — so results remain bit-exact across thread
+// counts at a fixed ISA.
 #pragma once
 
 #include <cstdint>
@@ -39,11 +43,13 @@ namespace avx2 {
 /// nn::kernel_isa_available.
 bool compiled();
 
-/// GEMM block over the packed kNr=8 k-major B panels built by
-/// pack_b_panels / pack_bt_panels: for r < rows, j < n,
-///   out[r*row_stride + j*col_stride] = bias[j] + sum_k a(r, k) * b(k, j)
-/// (bias may be null = zero seed). 8x8 register micro-tiles, float
-/// accumulators, FMA.
+/// Y = A * B over the packed kNr=8 k-major B panels built by
+/// pack_b_panels / pack_bt_panels / build_conv_panels: for r < rows,
+/// j < n,
+///   out[r*row_stride + j*col_stride] = bias[r] + sum_k a(r, k) * b(k, j)
+/// (bias indexed by A row; null = zero seed). A is read in place (the
+/// weight GEMMs pass the stored weight rows). 8/4/1-row x 8-column
+/// register micro-tiles, float accumulators, FMA in ascending k.
 void block_gemm(const float* a, std::int64_t lda, std::int64_t rows,
                 const float* b_panels, std::int64_t kk, std::int64_t n,
                 const float* bias, float* out, std::int64_t row_stride,

@@ -1,6 +1,7 @@
 // Systolic array configuration.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -226,10 +227,18 @@ struct ArrayConfig {
     return freq_mhz;
   }
 
+  /// Largest accepted rows or cols: far above the largest array the repo
+  /// builds (256 PEs along one side, in the design-space aspect sweep),
+  /// and small enough that rows * cols and the cycle products built on it
+  /// stay inside int64.
+  static constexpr std::int64_t kMaxDim = std::int64_t{1} << 16;
+
   void validate() const {
-    FUSE_CHECK(rows > 0 && cols > 0)
-        << "array must have positive dimensions, got " << rows << "x" << cols;
-    FUSE_CHECK(freq_mhz > 0.0) << "frequency must be positive";
+    FUSE_CHECK(rows > 0 && cols > 0 && rows <= kMaxDim && cols <= kMaxDim)
+        << "array dimensions must be in [1, " << kMaxDim << "], got "
+        << rows << "x" << cols;
+    FUSE_CHECK(std::isfinite(freq_mhz) && freq_mhz > 0.0)
+        << "frequency must be finite and positive, got " << freq_mhz;
   }
 
   std::string to_string() const {

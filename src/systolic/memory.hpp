@@ -10,6 +10,7 @@
 // reports where the FuSe speedup starts to erode.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 #include "systolic/config.hpp"
@@ -28,8 +29,12 @@ struct MemoryConfig {
   std::int64_t sram_bytes = 8 * 1024 * 1024;
 
   void validate() const {
-    FUSE_CHECK(dram_bytes_per_cycle > 0.0 && dtype_bytes > 0)
-        << "bad memory config";
+    FUSE_CHECK(std::isfinite(dram_bytes_per_cycle) &&
+               dram_bytes_per_cycle > 0.0 && dtype_bytes > 0)
+        << "bad memory config: dram_bytes_per_cycle must be finite and "
+           "positive (got "
+        << dram_bytes_per_cycle << "), dtype_bytes positive (got "
+        << dtype_bytes << ")";
     FUSE_CHECK(sram_bytes > 0) << "bad memory config: sram_bytes";
   }
 };

@@ -7,16 +7,20 @@
 //   * avx2 ISA — float outputs ULP-BOUNDED against the reference (the
 //     derived tolerance in util/ulp.hpp), int8 outputs and backward
 //     passes still bit-exact, and bit-exact across thread counts at the
-//     fixed ISA.
+//     fixed ISA. The GEMM-backed ops (dense/grouped/pointwise conv,
+//     linear, matmul) are further pinned bit-for-bit to one std::fmaf
+//     chain per output (Avx2GemmMatchesFmaChain).
 // The forced-ISA grid below runs every operator under each ISA the
 // machine supports; on hardware without AVX2 the avx2 leg is skipped
 // with a logged note (never a failure), so the suite passes everywhere.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "nn/activations.hpp"
@@ -113,7 +117,7 @@ void expect_isa_close(const Tensor& ref, const Tensor& got, KernelIsa isa,
 
 /// One conv geometry of the differential grid.
 struct ConvCase {
-  const char* name;
+  std::string name;
   std::int64_t batch, in_c, out_c, h, w, kh, kw;
   Conv2dParams params;
 };
@@ -212,11 +216,67 @@ std::vector<ConvCase> tail_grid() {
   return cases;
 }
 
+/// 1x1 convolutions around the GEMM tiling: a single position, position
+/// counts just below and past one 8-lane panel (7, 9) and just past one
+/// and two 64-position column blocks (65, 129), output-channel counts
+/// that hit the 8/4/1-row strips and their tails, and the 1x1 geometries
+/// the activation panels cannot take as straight row copies (stride 2,
+/// pad 1, groups 2).
+std::vector<ConvCase> pointwise_grid() {
+  std::vector<ConvCase> cases;
+  const std::vector<std::pair<std::int64_t, std::int64_t>> extents = {
+      {1, 1}, {7, 1}, {3, 3}, {5, 13}, {3, 43}};
+  for (const auto& [h, w] : extents) {
+    for (const std::int64_t out_c : {1, 3, 5, 12, 17}) {
+      for (const std::int64_t in_c : {1, 33}) {
+        cases.push_back({"pw_" + std::to_string(in_c) + "to" +
+                             std::to_string(out_c) + "_" +
+                             std::to_string(h) + "x" + std::to_string(w),
+                         2, in_c, out_c, h, w, 1, 1,
+                         {1, 1, 0, 0, 1, 1, 1}});
+      }
+    }
+  }
+  cases.push_back({"pw_s2", 2, 6, 5, 9, 11, 1, 1, {2, 2, 0, 0, 1, 1, 1}});
+  cases.push_back({"pw_pad1", 2, 6, 5, 7, 9, 1, 1, {1, 1, 1, 1, 1, 1, 1}});
+  cases.push_back({"pw_groups2", 2, 6, 10, 9, 9, 1, 1,
+                   {1, 1, 0, 0, 1, 1, 2}});
+  return cases;
+}
+
 std::vector<ConvCase> all_conv_cases() {
   std::vector<ConvCase> cases = conv_grid();
-  const std::vector<ConvCase> tails = tail_grid();
-  cases.insert(cases.end(), tails.begin(), tails.end());
+  for (const std::vector<ConvCase>& more : {tail_grid(), pointwise_grid()}) {
+    cases.insert(cases.end(), more.begin(), more.end());
+  }
   return cases;
+}
+
+/// True for the geometries conv2d_fast sends to the channelwise kernels
+/// (everything else runs the GEMM).
+bool is_channelwise(const ConvCase& c) {
+  return c.params.groups == c.in_c && c.out_c == c.in_c;
+}
+
+/// {batch, in_f, out_f} linear shapes around the GEMM tiling: batch below,
+/// at and past one 8-lane panel, out_f across the 8/4/1-row strips.
+std::vector<std::tuple<int, int, int>> linear_tail_cases() {
+  std::vector<std::tuple<int, int, int>> cases;
+  for (const int batch : {1, 9, 17}) {
+    for (const int out_f : {1, 7, 13}) {
+      cases.emplace_back(batch, 33, out_f);
+    }
+  }
+  return cases;
+}
+
+/// `base` followed by linear_tail_cases().
+std::vector<std::tuple<int, int, int>> with_linear_tails(
+    std::vector<std::tuple<int, int, int>> base) {
+  for (const auto& c : linear_tail_cases()) {
+    base.push_back(c);
+  }
+  return base;
 }
 
 // ---------------------------------------------------------------------------
@@ -282,9 +342,8 @@ TEST(KernelsDifferential, MatmulWithZeroRowsBitExact) {
 TEST(KernelsDifferential, LinearBitExact) {
   BackendGuard guard;
   set_kernel_isa(KernelIsa::kScalar);
-  for (const auto& [batch, in_f, out_f] :
-       std::vector<std::tuple<int, int, int>>{
-           {1, 1, 1}, {1, 9, 5}, {3, 17, 31}, {8, 1280, 1000}}) {
+  for (const auto& [batch, in_f, out_f] : with_linear_tails(
+           {{1, 1, 1}, {1, 9, 5}, {3, 17, 31}, {8, 1280, 1000}})) {
     const Tensor input = random_tensor(Shape{batch, in_f}, 31);
     const Tensor weight = random_tensor(Shape{out_f, in_f}, 32);
     const Tensor bias = random_tensor(Shape{out_f}, 33);
@@ -319,7 +378,7 @@ TEST(KernelsForcedIsa, ConvGridDifferential) {
     for (KernelIsa isa : available_isas()) {
       set_kernel_isa(isa);
       const std::string label =
-          std::string(c.name) + " [" + kernel_isa_name(isa) + "]";
+          c.name + " [" + kernel_isa_name(isa) + "]";
       expect_isa_close(ref,
                        kernels::conv2d_fast(input, weight, &bias, c.params),
                        isa, k, magnitude, label);
@@ -356,12 +415,8 @@ TEST(KernelsForcedIsa, MatmulDifferential) {
 
 TEST(KernelsForcedIsa, LinearDifferential) {
   BackendGuard guard;
-  for (const auto& [batch, in_f, out_f] :
-       std::vector<std::tuple<int, int, int>>{{1, 1, 1},
-                                              {2, 7, 9},
-                                              {3, 17, 33},
-                                              {9, 40, 17},
-                                              {8, 256, 100}}) {
+  for (const auto& [batch, in_f, out_f] : with_linear_tails(
+           {{1, 1, 1}, {2, 7, 9}, {3, 17, 33}, {9, 40, 17}, {8, 256, 100}})) {
     const Tensor input = random_tensor(Shape{batch, in_f}, 131);
     const Tensor weight = random_tensor(Shape{out_f, in_f}, 132);
     const Tensor bias = random_tensor(Shape{out_f}, 133);
@@ -380,6 +435,140 @@ TEST(KernelsForcedIsa, LinearDifferential) {
       expect_isa_close(ref_nb, kernels::linear_fast(input, weight, nullptr),
                        isa, k, static_cast<double>(k), label + " (no bias)");
     }
+  }
+}
+
+/// The AVX2 GEMM contract written out: each output is one std::fmaf
+/// chain seeded with the bias (or 0), taps in (ic, ky, kx) order, padding
+/// taps multiplied as zeros.
+Tensor conv2d_fmaf_chain(const Tensor& input, const Tensor& weight,
+                         const Tensor* bias, const Conv2dParams& p) {
+  const std::int64_t batch = input.shape().dim(0);
+  const std::int64_t in_h = input.shape().dim(2);
+  const std::int64_t in_w = input.shape().dim(3);
+  const std::int64_t out_c = weight.shape().dim(0);
+  const std::int64_t group_in = weight.shape().dim(1);
+  const std::int64_t kh = weight.shape().dim(2);
+  const std::int64_t kw = weight.shape().dim(3);
+  const std::int64_t group_out = out_c / p.groups;
+  const std::int64_t out_h =
+      (in_h + 2 * p.pad_h - p.dilation_h * (kh - 1) - 1) / p.stride_h + 1;
+  const std::int64_t out_w =
+      (in_w + 2 * p.pad_w - p.dilation_w * (kw - 1) - 1) / p.stride_w + 1;
+  Tensor out(Shape{batch, out_c, out_h, out_w});
+  for (std::int64_t n = 0; n < batch; ++n) {
+    for (std::int64_t oc = 0; oc < out_c; ++oc) {
+      const std::int64_t c0 = (oc / group_out) * group_in;
+      for (std::int64_t oy = 0; oy < out_h; ++oy) {
+        for (std::int64_t ox = 0; ox < out_w; ++ox) {
+          float acc = bias != nullptr ? bias->at(oc) : 0.0F;
+          for (std::int64_t ic = 0; ic < group_in; ++ic) {
+            for (std::int64_t ky = 0; ky < kh; ++ky) {
+              for (std::int64_t kx = 0; kx < kw; ++kx) {
+                const std::int64_t iy =
+                    oy * p.stride_h - p.pad_h + ky * p.dilation_h;
+                const std::int64_t ix =
+                    ox * p.stride_w - p.pad_w + kx * p.dilation_w;
+                const bool inside = iy >= 0 && iy < in_h && ix >= 0 &&
+                                    ix < in_w;
+                const float x = inside ? input.at(n, c0 + ic, iy, ix) : 0.0F;
+                acc = std::fmaf(weight.at(oc, ic, ky, kx), x, acc);
+              }
+            }
+          }
+          out.at(n, oc, oy, ox) = acc;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+/// out[n, o] = fmaf chain of w[o, :] . x[n, :] seeded with bias[o] (or 0).
+Tensor linear_fmaf_chain(const Tensor& input, const Tensor& weight,
+                         const Tensor* bias) {
+  const std::int64_t batch = input.shape().dim(0);
+  const std::int64_t in_f = input.shape().dim(1);
+  const std::int64_t out_f = weight.shape().dim(0);
+  Tensor out(Shape{batch, out_f});
+  for (std::int64_t n = 0; n < batch; ++n) {
+    for (std::int64_t o = 0; o < out_f; ++o) {
+      float acc = bias != nullptr ? bias->at(o) : 0.0F;
+      for (std::int64_t i = 0; i < in_f; ++i) {
+        acc = std::fmaf(weight.at(o, i), input.at(n, i), acc);
+      }
+      out.at(n, o) = acc;
+    }
+  }
+  return out;
+}
+
+/// c[m, n] = fmaf chain of a[m, :] . b[:, n] seeded with 0.
+Tensor matmul_fmaf_chain(const Tensor& a, const Tensor& b) {
+  const std::int64_t m = a.shape().dim(0);
+  const std::int64_t k = a.shape().dim(1);
+  const std::int64_t n = b.shape().dim(1);
+  Tensor out(Shape{m, n});
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      float acc = 0.0F;
+      for (std::int64_t t = 0; t < k; ++t) {
+        acc = std::fmaf(a.at(i, t), b.at(t, j), acc);
+      }
+      out.at(i, j) = acc;
+    }
+  }
+  return out;
+}
+
+TEST(KernelsForcedIsa, Avx2GemmMatchesFmaChain) {
+  // The ULP bound of ConvGridDifferential would let a reordered AVX2 GEMM
+  // pass; this pins the accumulation order itself.
+  if (!kernel_isa_available(KernelIsa::kAvx2)) {
+    GTEST_SKIP() << "avx2 kernels unavailable on this machine (cpu: "
+                 << util::cpu_features().to_string() << ")";
+  }
+  BackendGuard guard;
+  set_kernel_isa(KernelIsa::kAvx2);
+  for (const ConvCase& c : all_conv_cases()) {
+    if (is_channelwise(c)) {
+      continue;
+    }
+    const Tensor input =
+        random_tensor(Shape{c.batch, c.in_c, c.h, c.w}, 161);
+    const Tensor weight = random_tensor(
+        Shape{c.out_c, c.in_c / c.params.groups, c.kh, c.kw}, 162);
+    const Tensor bias = random_tensor(Shape{c.out_c}, 163);
+    EXPECT_TRUE(bit_equal(conv2d_fmaf_chain(input, weight, &bias, c.params),
+                          kernels::conv2d_fast(input, weight, &bias,
+                                               c.params)))
+        << c.name;
+    EXPECT_TRUE(
+        bit_equal(conv2d_fmaf_chain(input, weight, nullptr, c.params),
+                  kernels::conv2d_fast(input, weight, nullptr, c.params)))
+        << c.name << " (no bias)";
+  }
+  for (const auto& [batch, in_f, out_f] : with_linear_tails(
+           {{1, 1, 1}, {2, 7, 9}, {3, 17, 33}, {1, 1280, 1000}})) {
+    const Tensor input = random_tensor(Shape{batch, in_f}, 164);
+    const Tensor weight = random_tensor(Shape{out_f, in_f}, 165);
+    const Tensor bias = random_tensor(Shape{out_f}, 166);
+    const std::string label = std::to_string(batch) + "x" +
+                              std::to_string(in_f) + "x" +
+                              std::to_string(out_f);
+    EXPECT_TRUE(bit_equal(linear_fmaf_chain(input, weight, &bias),
+                          kernels::linear_fast(input, weight, &bias)))
+        << "linear " << label;
+    EXPECT_TRUE(bit_equal(linear_fmaf_chain(input, weight, nullptr),
+                          kernels::linear_fast(input, weight, nullptr)))
+        << "linear " << label << " (no bias)";
+  }
+  for (const auto& [m, k, n] : std::vector<std::tuple<int, int, int>>{
+           {1, 1, 1}, {5, 3, 1}, {9, 9, 17}, {17, 33, 9}, {70, 48, 96}}) {
+    const Tensor a = random_tensor(Shape{m, k}, 167);
+    const Tensor b = random_tensor(Shape{k, n}, 168);
+    EXPECT_TRUE(bit_equal(matmul_fmaf_chain(a, b), kernels::matmul_fast(a, b)))
+        << "matmul " << m << "x" << k << "x" << n;
   }
 }
 
@@ -578,8 +767,37 @@ TEST(KernelsDeterminism, BitExactAcrossThreadCounts) {
   const Tensor mm1 = kernels::matmul_fast(a, b);
   const Tensor lin1 = kernels::linear_fast(lin_in, lin_w, nullptr);
   const Tensor dw1 = kernels::conv2d_fast(input, dw_w, nullptr, dw_params);
+  // The 1x1 and linear tiling tails, under every available ISA.
+  std::vector<Tensor> tails1;
+  const auto run_tails = [&](std::vector<Tensor>& outs) {
+    for (KernelIsa isa : available_isas()) {
+      set_kernel_isa(isa);
+      for (const ConvCase& c : pointwise_grid()) {
+        const Tensor x = random_tensor(Shape{c.batch, c.in_c, c.h, c.w}, 69);
+        const Tensor w = random_tensor(
+            Shape{c.out_c, c.in_c / c.params.groups, c.kh, c.kw}, 70);
+        const Tensor b = random_tensor(Shape{c.out_c}, 71);
+        outs.push_back(kernels::conv2d_fast(x, w, &b, c.params));
+      }
+      for (const auto& [batch, in_f, out_f] : linear_tail_cases()) {
+        const Tensor x = random_tensor(Shape{batch, in_f}, 72);
+        const Tensor w = random_tensor(Shape{out_f, in_f}, 73);
+        const Tensor b = random_tensor(Shape{out_f}, 74);
+        outs.push_back(kernels::linear_fast(x, w, &b));
+      }
+    }
+    set_kernel_isa(KernelIsa::kScalar);
+  };
+  run_tails(tails1);
   for (int threads : {2, 3, 5}) {
     set_kernel_threads(threads);
+    std::vector<Tensor> tails;
+    run_tails(tails);
+    ASSERT_EQ(tails.size(), tails1.size());
+    for (std::size_t i = 0; i < tails.size(); ++i) {
+      EXPECT_TRUE(bit_equal(tails1[i], tails[i]))
+          << threads << " threads (tiling tail " << i << ")";
+    }
     EXPECT_TRUE(bit_equal(
         conv1, kernels::conv2d_fast(input, weight, &bias, params)))
         << threads << " threads (conv)";

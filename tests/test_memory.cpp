@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 #include "hw/energy.hpp"
 #include "sched/latency.hpp"
@@ -89,6 +90,16 @@ TEST(Traffic, InvalidConfigThrows) {
   EXPECT_THROW(bad.validate(), util::Error);
   EXPECT_THROW(matmul_traffic(0, 1, 1, array64(), MemoryConfig{}),
                util::Error);
+  for (const double bandwidth : {std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity(),
+                                 std::numeric_limits<double>::quiet_NaN(),
+                                 -1.0}) {
+    MemoryConfig mem;
+    mem.dram_bytes_per_cycle = bandwidth;
+    EXPECT_THROW(mem.validate(), util::Error) << bandwidth;
+    EXPECT_THROW(matmul_traffic(64, 64, 64, array64(), mem), util::Error)
+        << bandwidth;
+  }
 }
 
 

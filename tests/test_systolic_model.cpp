@@ -1,6 +1,8 @@
 // Tests for the analytic cycle model (SCALE-Sim methodology).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "systolic/config.hpp"
 #include "systolic/cycle_model.hpp"
 #include "util/check.hpp"
@@ -23,6 +25,28 @@ TEST(ArrayConfig, ValidatesDimensions) {
   cfg.rows = 8;
   cfg.freq_mhz = -1.0;
   EXPECT_THROW(cfg.validate(), util::Error);
+}
+
+TEST(ArrayConfig, RejectsOversizedDimensionsAndNonFiniteFrequency) {
+  // 2^40 x 2^40 PEs: rows * cols would wrap int64.
+  ArrayConfig huge = square_array(std::int64_t{1} << 40);
+  EXPECT_THROW(huge.validate(), util::Error);
+  EXPECT_THROW(matmul_latency(56 * 56, 27, 32, huge), util::Error);
+  ArrayConfig tall = square_array(8);
+  tall.rows = ArrayConfig::kMaxDim + 1;
+  EXPECT_THROW(tall.validate(), util::Error);
+  ArrayConfig edge = square_array(8);
+  edge.rows = ArrayConfig::kMaxDim;
+  edge.cols = ArrayConfig::kMaxDim;
+  EXPECT_NO_THROW(edge.validate());
+  EXPECT_NO_THROW(square_array(256).validate());
+  for (const double freq : {std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN(), 0.0}) {
+    ArrayConfig cfg = square_array(8);
+    cfg.freq_mhz = freq;
+    EXPECT_THROW(cfg.validate(), util::Error) << freq;
+  }
 }
 
 TEST(ArrayConfig, ToStringMentionsBroadcast) {

@@ -13,7 +13,9 @@
 #      test_serve),
 #   4. Release (-O3) build running the kernel differential suite plus a
 #      bench_kernels smoke pass — the kernel exactness contract must
-#      survive full optimization, not just the default build,
+#      survive full optimization, not just the default build — whose
+#      --json rows must report a positive GFLOP/s wherever they carry a
+#      MAC count,
 #   5. forced-ISA matrix: the kernel differential suite (test_kernels +
 #      test_cpu_features) must pass under FUSE_KERNEL_ISA=scalar and
 #      =auto, and a bench_table1 smoke must produce CSVs that agree
@@ -127,8 +129,21 @@ cmake --build "$RELEASE_DIR" -j "$(nproc)" --target test_kernels bench_kernels
 echo "--- test_kernels (Release) ---"
 "$RELEASE_DIR/tests/test_kernels"
 echo "--- bench_kernels smoke (Release) ---"
-"$RELEASE_DIR/bench/bench_kernels" --benchmark_min_time=0.01 > /dev/null
-echo "bench_kernels smoke: ok"
+KERNELS_JSON="$(mktemp)"
+"$RELEASE_DIR/bench/bench_kernels" --benchmark_min_time=0.01 \
+  --json="$KERNELS_JSON" > /dev/null
+# Every row with a MAC count must turn it into a positive wall-clock rate.
+python3 - "$KERNELS_JSON" <<'EOF'
+import json, sys
+rows = json.load(open(sys.argv[1]))
+counted = [r for r in rows if r["macs"] > 0]
+bad = [r["name"] for r in counted if not r["gflops"] > 0]
+if not counted or bad:
+    sys.exit(f"bench_kernels: {len(counted)} rows with a MAC count, "
+             f"gflops <= 0 in: {bad}")
+print(f"bench_kernels smoke: ok ({len(counted)} rows with gflops > 0)")
+EOF
+rm -f "$KERNELS_JSON"
 
 echo
 echo "=== [5/14] forced-ISA matrix: differential suite + bench CSV tolerance ==="
